@@ -19,7 +19,6 @@ from .benchmark import (
 from .datasets import DATASETS, WUHAN, ZHEJIANG, Dataset, get_dataset, load_csv
 from .errors import (
     DataError,
-    DegenerateParamsError,
     SingularDesignError,
     UsageError,
 )

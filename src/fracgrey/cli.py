@@ -1,7 +1,7 @@
 """Command-line interface: fit, order-search, benchmark, forecast.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical/degenerate
-error.  Runs with an explicit --seed are byte-reproducible.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 singular least-squares
+design.  Runs with an explicit --seed are byte-reproducible.
 """
 
 import argparse
@@ -18,10 +18,10 @@ from .benchmark import (
 )
 from .config import pso_config_from_file, swarm_config_from_file
 from .datasets import get_dataset, load_csv
-from .errors import DataError, DegenerateParamsError, SingularDesignError, UsageError
+from .errors import DataError, SingularDesignError, UsageError
 from .fracops import validate_order
 from .greymodel import Series, fit_series, forecast
-from .optim import PsoConfig, SwarmConfig, estimate, order_search
+from .optim import PsoConfig, SwarmConfig, estimate, order_grid, order_search
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +59,8 @@ def _build_parser():
 
     p_os = sub.add_parser("order-search", help="grid-search the fractional order")
     _add_input_flags(p_os)
-    p_os.add_argument("--step", type=float, default=0.01, help="grid step in (0, 0.5]")
+    p_os.add_argument("--step", type=float, default=0.01,
+                      help="grid step in [0.001, 0.5] (at most 1000 orders)")
     p_os.add_argument("--repeats", type=int, default=10,
                       help="seeded runs averaged per grid point (swarm estimators)")
     _add_run_flags(p_os, default_estimator="adcso")
@@ -131,8 +132,10 @@ def _check_repeats(repeats: int) -> int:
 
 
 def _check_step(step: float) -> float:
-    if not 0.0 < step <= 0.5:
-        raise UsageError(f"step must lie in (0, 0.5], got {step}")
+    try:
+        order_grid(step)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return step
 
 
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateParamsError, SingularDesignError) as exc:
+    except SingularDesignError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

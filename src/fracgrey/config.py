@@ -18,6 +18,9 @@ depends on the estimator the file is used with.
 from .errors import UsageError
 from .optim import PsoConfig, SwarmConfig
 
+# The swarms search the two model parameters (a, b).
+SEARCH_DIM = 2
+
 SWARM_KEYS = {
     "N": ("n_agents", int),
     "M": ("smp", int),
@@ -86,9 +89,14 @@ def _apply(raw: dict, table: dict, path) -> dict:
 def swarm_config_from_file(path, seed: int = 0) -> SwarmConfig:
     fields = _apply(read_key_values(path), SWARM_KEYS, path)
     try:
-        return SwarmConfig(seed=seed, **fields)
+        cfg = SwarmConfig(seed=seed, **fields)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+    if cfg.cdc > SEARCH_DIM:
+        raise UsageError(
+            f"{path}: CDC = {cfg.cdc} exceeds the search dimension {SEARCH_DIM}"
+        )
+    return cfg
 
 
 def pso_config_from_file(path, seed: int = 0) -> PsoConfig:

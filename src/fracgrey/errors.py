@@ -9,9 +9,5 @@ class DataError(ValueError):
     """Malformed or invalid input data (files, observation series)."""
 
 
-class DegenerateParamsError(ValueError):
-    """Model parameters unusable: development coefficient too close to zero."""
-
-
 class SingularDesignError(RuntimeError):
     """Least-squares design matrix is rank deficient."""

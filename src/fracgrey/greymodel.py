@@ -3,21 +3,25 @@
 Pipeline: accumulate the observations at order r, fit the linear relation
 X(k) - X(k-1) = -a z(k) + b  (z = adjacent means of the accumulated series),
 predict accumulated values with the exponential response
-(x1 - b/a) e^(-a k) + b/a, and reduce back to the original scale.  The fit
-error is the mean absolute percentage error over the second..last points.
+X(k) = x1 e^(-a k) + b (1 - e^(-a k)) / a  (x1 + b k at a = 0), and reduce
+back to the original scale.  The fit error is the mean absolute percentage
+error over the second..last points.
+
+Prediction and reduction run as one O(n) recurrence (:func:`restored_steps`)
+that never divides by a, so every finite (a, b) is a valid model, a = 0
+included.  Model definition: Wu et al., "Grey system model with the
+fractional order accumulation", CNSNS 18(7), 2013.
 
 All functions are pure and stateless; reports are immutable once built.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateParamsError, SingularDesignError
-from .fracops import frac_accumulate, frac_reduce, mean_sequence, validate_order
-
-# |a| below this is degenerate: the exponential response divides by a.
-A_EPSILON = 1e-12
+from .errors import DataError, SingularDesignError
+from .fracops import frac_accumulate, iago_coeffs, mean_sequence, validate_order
 
 # Two parameters plus at least two validation points.
 MIN_FIT_LENGTH = 4
@@ -86,11 +90,6 @@ class GreyParams:
         object.__setattr__(self, "b", float(self.b))
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise ValueError("parameters a, b must be finite")
-        if abs(self.a) < A_EPSILON:
-            raise DegenerateParamsError(
-                f"|a| = {abs(self.a):.3e} is below {A_EPSILON:.0e}; "
-                "the exponential response divides by a"
-            )
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,15 @@ class FitReport:
     residuals: np.ndarray
     mape: float
     per_point_error: np.ndarray
+
+
+def check_fit_length(series: Series) -> None:
+    """Reject series shorter than ``MIN_FIT_LENGTH``; every estimator calls this."""
+    if len(series) < MIN_FIT_LENGTH:
+        raise DataError(
+            f"series too short: fitting needs at least {MIN_FIT_LENGTH} points,"
+            f" got {len(series)}"
+        )
 
 
 def build_design(series: Series, r) -> tuple[np.ndarray, np.ndarray]:
@@ -144,54 +152,66 @@ def lsm_fit(series: Series, r) -> GreyParams:
     the two columns can be badly scaled against each other).
     """
     r = validate_order(r)
-    if len(series) < MIN_FIT_LENGTH:
-        raise DataError(
-            f"series too short: fitting needs at least {MIN_FIT_LENGTH} points,"
-            f" got {len(series)}"
-        )
+    check_fit_length(series)
     B, Y = build_design(series, r)
     a, b = _solve_design(B, Y)
     return GreyParams(r=r, a=a, b=b)
 
 
 def time_response(params: GreyParams, x1: float, k: int) -> float:
-    """Accumulated-scale prediction (x1 - b/a) e^(-a k) + b/a.
+    """Accumulated-scale prediction x1 e^(-a k) + b (1 - e^(-a k)) / a.
 
     ``k`` counts periods after the first observation; k = 0 returns ``x1``
-    exactly.
+    exactly.  The second term is evaluated with expm1, so it keeps its digits
+    as a -> 0 and equals the limit x1 + b k at a = 0.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if abs(params.a) < A_EPSILON:
-        raise DegenerateParamsError("development coefficient too close to zero")
-    if k == 0:
-        return float(x1)
-    ba = params.b / params.a
-    return float((x1 - ba) * np.exp(-params.a * k) + ba)
+    u = params.a * k
+    if u == 0:
+        return float(x1 + params.b * k)
+    return float(x1 * math.exp(-u) - params.b * math.expm1(-u) / params.a)
 
 
-def _response_sequence(params: GreyParams, x1: float, n: int) -> np.ndarray:
-    """Accumulated-scale predictions for indices 1..n (k = 0..n-1)."""
-    if abs(params.a) < A_EPSILON:
-        raise DegenerateParamsError("development coefficient too close to zero")
-    ba = params.b / params.a
-    out = (x1 - ba) * np.exp(-params.a * np.arange(n)) + ba
-    out[0] = x1
-    return out
+def restored_steps(x1, a, b, d):
+    """Yield the original-scale model values x(0), x(1), ... one per weight d[k].
+
+    ``a`` and ``b`` are floats, or arrays of one shape; each ``d[k]`` is the
+    order's k-th reduction weight and must broadcast to that shape.  With
+    q = e^(-a) and phi = (1 - e^(-a)) / a (phi = 1 at a = 0), the reduced
+    response is x(k) = x1 T_k + b V_k, where
+
+        T_0 = d_0,  T_k = q T_(k-1) + d_k,
+        V_0 = 0,    V_k = V_(k-1) + phi T_(k-1).
+
+    The recurrence costs O(1) per step, keeps only values of the shape of
+    ``a``, and never divides by a.  It runs on P = x1 T and W = b V.  Every
+    yielded value is new, so the caller may modify or keep it.
+    """
+    neg_a = np.negative(a, dtype=float)
+    q = np.exp(neg_a)
+    phi = np.divide(np.expm1(neg_a), neg_a, out=np.ones(np.shape(neg_a)), where=neg_a != 0)
+    coeff = b * phi / x1
+    x1d = x1 * np.asarray(d, dtype=float)
+    # Fresh values of the shape of a, so the in-place updates below touch no input.
+    P = x1d[0] + 0.0 * neg_a
+    W = 0.0 * neg_a
+    yield P + W
+    for x1d_k in x1d[1:]:
+        W += coeff * P
+        P *= q
+        P += x1d_k
+        yield P + W
 
 
 def restored_fit(series: Series, params: GreyParams, horizon: int = 0) -> np.ndarray:
     """Original-scale model values for the sample plus ``horizon`` extra periods.
 
-    Extends the exponential response past the fit window and reduces the whole
-    extended sequence at once; the first value equals the first observation
-    exactly.
+    Runs :func:`restored_steps` past the fit window; the first value equals
+    the first observation exactly.
     """
-    n = len(series) + horizon
-    Xhat = _response_sequence(params, series.values[0], n)
-    restored = frac_reduce(Xhat, params.r)
-    restored[0] = series.values[0]
-    return restored
+    d = iago_coeffs(params.r, len(series) + horizon)
+    return np.array(list(restored_steps(series.values[0], params.a, params.b, d)))
 
 
 def mape(actual, fitted) -> float:

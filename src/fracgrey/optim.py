@@ -18,9 +18,12 @@ update whole populations with array operations; `seeking_step` and
 random numbers in the same layout, so a one-agent swarm reproduces them
 draw for draw.
 
-Objective functions are pure; a run's random draws all happen in one
-deterministic serial order, so results never depend on how evaluations are
-scheduled.  Distinct runs share no state.
+The objective is the in-sample percentage error of the model values from
+``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses
+too.  It is defined for every finite (a, b), a = 0 included, and a candidate
+whose error is not finite scores +inf.  Objective functions are pure; a run's
+random draws all happen in one deterministic serial order, so results never
+depend on how evaluations are scheduled.  Distinct runs share no state.
 """
 
 import math
@@ -30,12 +33,26 @@ import numpy as np
 
 from .errors import DataError
 from .fracops import iago_coeffs, validate_order
-from .greymodel import A_EPSILON, GreyParams, Series, fit_series, lsm_fit
+from .greymodel import (
+    GreyParams,
+    Series,
+    check_fit_length,
+    fit_series,
+    lsm_fit,
+    restored_steps,
+)
 
 # Coordinates closer to the axis than this fraction of the box width mutate by
 # a fixed kick instead of a proportional one, so seeking agents cannot freeze.
 ZERO_GUARD = 1e-9
 ZERO_KICK = 1e-3
+
+# Largest order grid a search may ask for: a step of at least 0.001.
+MAX_GRID_POINTS = 1000
+
+# Candidates the evaluator scores per block of layers.  Each of its work
+# arrays then takes 256 KB, small enough to stay in a core's cache.
+BLOCK_CANDIDATES = 32768
 
 
 @dataclass(frozen=True)
@@ -192,38 +209,25 @@ class _MapeEvaluator:
     """Vectorized percentage-error objective, stacked over per-layer orders.
 
     Evaluates points of shape (layers, batch, 2) to fitness (layers, batch).
-    The reduction weights and the division by the observed values are folded
-    into one matrix per layer, so an evaluation is an exponential table, one
-    stacked matmul and a mean.  With ``reuse_buffers`` the per-shape work
-    arrays persist between calls (single-threaded use only).
+    The model values come from :func:`greymodel.restored_steps`, the same
+    recurrence ``fit_series`` uses, and the error is accumulated one
+    observation at a time.  Layers are scored in blocks of about
+    ``BLOCK_CANDIDATES`` candidates, so every work array has the shape of one
+    block.  Non-finite errors are reported as +inf.
     """
 
-    def __init__(self, values, orders, reuse_buffers: bool = False):
+    def __init__(self, values, orders):
         x = np.asarray(values, dtype=float)
         n = len(x)
         if n < 2:
             raise DataError("need at least 2 observations to score a fit")
-        orders = np.asarray(orders, dtype=float)
-        scaled_rt = np.zeros((len(orders), n, n - 1))
-        for g, r in enumerate(orders):
-            d = iago_coeffs(r, n)
-            for i in range(1, n):
-                scaled_rt[g, : i + 1, i - 1] = d[: i + 1][::-1] / x[i]
-        self._rt = scaled_rt
-        self._n = n
-        self._x1 = x[0]
-        self._layers = len(orders)
-        self._reuse = reuse_buffers
-        self._work: dict = {}
-
-    def _buffers(self, shape):
-        if not self._reuse:
-            return np.empty(shape + (self._n,)), np.empty(shape + (self._n - 1,))
-        buf = self._work.get(shape)
-        if buf is None:
-            buf = (np.empty(shape + (self._n,)), np.empty(shape + (self._n - 1,)))
-            self._work[shape] = buf
-        return buf
+        unique, layer_of = np.unique(np.asarray(orders, dtype=float), return_inverse=True)
+        weights = np.array([iago_coeffs(r, n) for r in unique])[layer_of]
+        # Step k reads the weights d_k of every layer as a (layers, 1) column.
+        self._d = np.ascontiguousarray(weights.T[:, :, None])
+        self._x = x
+        self._inv_x = 1.0 / x
+        self._layers = len(weights)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -231,29 +235,24 @@ class _MapeEvaluator:
             raise ValueError(
                 f"expected points of shape ({self._layers}, batch, 2), got {pts.shape}"
             )
-        a = pts[:, :, 0]
-        b = pts[:, :, 1]
-        n = self._n
-        xhat, scaled = self._buffers(pts.shape[:2])
+        layers, batch = pts.shape[:2]
+        blocks = max(1, math.ceil(layers * batch / BLOCK_CANDIDATES))
+        rows = math.ceil(layers / blocks)
+        fitness = np.zeros((layers, batch))
         with np.errstate(all="ignore"):
-            ba = b / a
-            decay = np.exp(-a)
-            xhat[..., 0] = 1.0
-            np.cumprod(
-                np.broadcast_to(decay[..., None], decay.shape + (n - 1,)),
-                axis=-1,
-                out=xhat[..., 1:],
-            )
-            np.multiply(xhat, (self._x1 - ba)[..., None], out=xhat)
-            np.add(xhat, ba[..., None], out=xhat)
-            xhat[..., 0] = self._x1
-            np.matmul(xhat, self._rt, out=scaled)
-            np.subtract(scaled, 1.0, out=scaled)
-            np.abs(scaled, out=scaled)
-            fitness = scaled.sum(axis=-1)
-            fitness *= 100.0 / (n - 1)
-        bad = (np.abs(a) < A_EPSILON) | ~np.isfinite(fitness)
-        fitness[bad] = np.inf
+            for lo in range(0, layers, rows):
+                block = slice(lo, lo + rows)
+                total = fitness[block]
+                steps = restored_steps(self._x[0], pts[block, :, 0], pts[block, :, 1],
+                                       self._d[:, block])
+                next(steps)  # x(0) = x1 by construction and is not scored
+                for xhat, x_k, inv_k in zip(steps, self._x[1:], self._inv_x[1:]):
+                    xhat -= x_k
+                    np.abs(xhat, out=xhat)
+                    xhat *= inv_k
+                    total += xhat
+            fitness *= 100.0 / (len(self._x) - 1)
+        fitness[np.isnan(fitness)] = np.inf  # a sum of |.| is NaN or in [0, inf]
         return fitness
 
 
@@ -261,12 +260,12 @@ def objective(series: Series, r):
     """Percentage-error objective on (a, b) at fixed order ``r``.
 
     The returned callable accepts one point of shape (2,) or a batch (m, 2)
-    and returns the in-sample error in percent.  Candidates with a
-    near-zero development coefficient, or whose evaluation is not finite,
-    get +inf so a stochastic search simply routes around them.  The callable
-    is pure and safe to share across threads.
+    and returns the in-sample error in percent, equal to
+    ``fit_series(series, GreyParams(r, a, b)).mape``.  Candidates whose
+    evaluation is not finite get +inf so a stochastic search simply routes
+    around them.  The callable is pure and safe to share across threads.
     """
-    ev = _MapeEvaluator(series.values, [validate_order(r)], reuse_buffers=False)
+    ev = _MapeEvaluator(series.values, [validate_order(r)])
 
     def fitness(points):
         pts = np.asarray(points, dtype=float)
@@ -593,10 +592,19 @@ def repeat_stats(objective_fn, bounds: Bounds, cfg, repeats: int) -> RepeatStats
 
 
 def order_grid(grid_step: float) -> np.ndarray:
-    """Order candidates {step, 2 step, ...} up to 1.0."""
+    """Order candidates {step, 2 step, ...} up to 1.0.
+
+    The grid holds at most ``MAX_GRID_POINTS`` orders, so the step must be at
+    least 1 / MAX_GRID_POINTS; the size is checked before anything is built.
+    """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid step must lie in (0, 0.5], got {grid_step}")
     count = int(np.floor(1.0 / grid_step + 1e-9))
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid step {grid_step} gives {count} orders; the limit is "
+            f"{MAX_GRID_POINTS} (step >= {1.0 / MAX_GRID_POINTS})"
+        )
     grid = np.round(grid_step * np.arange(1, count + 1), 12)
     if grid.size == 0:
         raise ValueError("empty order grid")
@@ -623,6 +631,7 @@ def order_search(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     grid = order_grid(grid_step)
+    check_fit_length(series)
 
     if estimator == "lsm":
         mean_fitness = np.empty(len(grid))
@@ -654,7 +663,7 @@ def order_search(
     if box.dim != 2:
         raise ValueError("order search estimates (a, b): bounds must be 2-D")
     layer_orders = np.repeat(grid, repeats)
-    evaluator = _MapeEvaluator(series.values, layer_orders, reuse_buffers=True)
+    evaluator = _MapeEvaluator(series.values, layer_orders)
     rng = np.random.default_rng(cfg.seed)
     best_fit, best_pos, trace, evaluations = engine(
         evaluator, box, cfg, len(layer_orders), rng
@@ -690,10 +699,11 @@ def estimate(
 ) -> tuple[GreyParams, RunTrace | None]:
     """Estimate (a, b) at a fixed order with the chosen estimator."""
     r = validate_order(r)
+    if estimator not in ("lsm", "adcso", "pso"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    check_fit_length(series)
     if estimator == "lsm":
         return lsm_fit(series, r), None
-    if estimator not in ("adcso", "pso"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     box = bounds or default_bounds(series)
     fitness = objective(series, r)
     if estimator == "adcso":

@@ -8,10 +8,10 @@ from conftest import (
     exact_response_series,
     exact_response_values,
     gm11_oracle,
+    oracle_reduce,
 )
 from fracgrey import (
     DataError,
-    DegenerateParamsError,
     GreyParams,
     Series,
     SingularDesignError,
@@ -69,11 +69,14 @@ class TestSeries:
 
 
 class TestGreyParams:
-    def test_degenerate_a_rejected(self):
-        with pytest.raises(DegenerateParamsError):
-            GreyParams(r=0.5, a=0.0, b=1.0)
-        with pytest.raises(DegenerateParamsError):
-            GreyParams(r=0.5, a=1e-13, b=1.0)
+    def test_zero_a_accepted(self):
+        # a = 0 is the linear limit X(k) = x1 + b k, not a degenerate model
+        series = Series(labels=np.arange(6), values=[3.0, 4.0, 2.5, 6.0, 5.0, 7.0])
+        limit = oracle_reduce(3.0 + 2.0 * np.arange(6), 0.5)
+        for a in (0.0, -0.0, 1e-13, -1e-300):
+            params = GreyParams(r=0.5, a=a, b=2.0)
+            np.testing.assert_allclose(fit_series(series, params).fitted, limit,
+                                       rtol=1e-12)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +146,18 @@ class TestTimeResponse:
         p = GreyParams(r=0.21, a=0.015, b=212927.0)
         value = time_response(p, 714700.0, 1)
         assert value == pytest.approx(915397.5056435540, rel=1e-12)
+
+    def test_zero_a_limit(self):
+        p = GreyParams(r=0.5, a=0.0, b=3.0)
+        assert time_response(p, 10.0, 0) == 10.0
+        assert time_response(p, 10.0, 7) == 31.0
+
+    def test_continuous_through_zero(self):
+        # X(k) = x1 + b k (1 - a k / 2 + ...) for small a
+        for a in (1e-12, -1e-12, 1e-8):
+            p = GreyParams(r=0.5, a=a, b=3.0)
+            expected = 10.0 * np.exp(-a * 7) + 3.0 * 7 * (1 - a * 7 / 2)
+            assert time_response(p, 10.0, 7) == pytest.approx(expected, rel=1e-14)
 
     def test_negative_k_rejected(self):
         p = GreyParams(r=0.5, a=0.1, b=1.0)

@@ -9,7 +9,7 @@ from fracgrey import (
     WUHAN,
     ZHEJIANG,
     DataError,
-    DegenerateParamsError,
+    SingularDesignError,
     SwarmConfig,
     UsageError,
     load_csv,
@@ -292,7 +292,7 @@ def test_cli_numerical_error_exit_code(capsys, monkeypatch):
     import fracgrey.cli as cli_module
 
     def boom(*args, **kwargs):
-        raise DegenerateParamsError("forced failure")
+        raise SingularDesignError("forced failure")
 
     monkeypatch.setattr(cli_module, "estimate", boom)
     code, _, err = run_cli(capsys, "fit", "--dataset", "wuhan", "--r", "0.5")
@@ -323,6 +323,36 @@ def test_cli_order_search_step_validation(capsys):
     code, _, _ = run_cli(capsys, "order-search", "--dataset", "wuhan",
                          "--step", "0.7")
     assert code == 1
+
+
+def test_cli_order_search_step_size_limit(capsys):
+    code, out, err = run_cli(capsys, "order-search", "--dataset", "wuhan",
+                             "--step", "1e-9")
+    assert code == 1
+    assert err.startswith("usage error:") and "limit is 1000" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [("fit", "--r", "0.5"), ("order-search", "--step", "0.5")])
+@pytest.mark.parametrize("estimator", ["lsm", "pso", "adcso"])
+def test_cli_short_series_rejected_by_every_estimator(capsys, write_csv, command, estimator):
+    path = write_csv("short.csv", ["2011,1.0", "2012,2.0", "2013,3.0"])
+    code, out, err = run_cli(capsys, *command, "--csv", path, "--estimator", estimator)
+    assert code == 2
+    assert "too short" in err
+    assert out == ""
+
+
+def test_cli_fit_zero_development_coefficient(capsys, write_csv, tmp_path):
+    path = write_csv("flat.csv", ["2011,5", "2012,5", "2013,5", "2014,5"])
+    out_path = tmp_path / "flat.json"
+    code, _, _ = run_cli(capsys, "fit", "--csv", path, "--estimator", "lsm",
+                         "--r", "1", "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert abs(payload["a"]) < 1e-12
+    np.testing.assert_allclose(payload["fitted"], [5.0] * 4, rtol=1e-9)
+    assert payload["mape_pct"] < 1e-9
 
 
 def test_cli_order_search_repeats_validation(capsys):
@@ -403,6 +433,16 @@ def test_cli_config_unknown_key_is_usage_error(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "fit", "--dataset", "wuhan", "--r", "0.5",
                          "--estimator", "adcso", "--config", str(cfg))
     assert code == 1
+
+
+def test_cli_config_cdc_above_search_dimension(capsys, tmp_path):
+    cfg = tmp_path / "cdc.cfg"
+    cfg.write_text("CDC = 3\n")
+    code, out, err = run_cli(capsys, "fit", "--dataset", "wuhan", "--r", "0.25",
+                             "--estimator", "adcso", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("usage error:") and "CDC = 3" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_cli_config_with_lsm_rejected(capsys, tmp_path):

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_response_series
+from conftest import exact_response_series, oracle_reduce
 from fracgrey import (
     WUHAN,
     Agent,
     Bounds,
+    DataError,
     GreyParams,
     PsoConfig,
+    Series,
     SwarmConfig,
     adcso_minimize,
     default_bounds,
+    estimate,
     fit_series,
     objective,
     order_search,
@@ -21,7 +24,9 @@ from fracgrey import (
     seeking_step,
     tracing_step,
 )
+from fracgrey import optim
 from fracgrey.optim import (
+    _MapeEvaluator,
     _adaptive_coefficients,
     _candidate_probabilities,
     _select_best,
@@ -190,14 +195,19 @@ class TestTracingStep:
 
 class TestObjective:
     def test_degenerate_development_coefficient(self, wuhan):
+        # a = 0 scores the linear limit X(k) = x1 + b k; nearby a agree
         f = objective(wuhan, 0.25)
-        assert f(np.array([0.0, 5.0])) == np.inf
-        assert f(np.array([1e-13, 5.0])) == np.inf
+        limit = oracle_reduce(wuhan.values[0] + 2e5 * np.arange(5), 0.25)
+        expected = 100.0 * np.mean(np.abs(limit[1:] / wuhan.values[1:] - 1.0))
+        assert f(np.array([0.0, 2e5])) == pytest.approx(expected, rel=1e-12)
+        assert f(np.array([1e-13, 2e5])) == pytest.approx(expected, rel=1e-11)
+        assert f(np.array([-1e-13, 2e5])) == pytest.approx(expected, rel=1e-11)
 
     def test_batch_mixes_finite_and_infinite(self, wuhan):
+        # e^(-a) overflows at a = -1000: that candidate alone is scored +inf
         f = objective(wuhan, 0.25)
-        out = f(np.array([[0.0, 5.0], [0.1, 2e5]]))
-        assert out[0] == np.inf and np.isfinite(out[1])
+        out = f(np.array([[0.0, 5.0], [-1000.0, 2e5], [0.1, 2e5]]))
+        assert np.isfinite(out[0]) and out[1] == np.inf and np.isfinite(out[2])
 
     def test_exact_generator_scores_zero(self):
         r, a, b = 0.5, 0.08, 9.0
@@ -211,11 +221,27 @@ class TestObjective:
         value = objective(wuhan, 0.25)(np.array([params.a, params.b]))
         assert value == pytest.approx(1.57, abs=0.3)
 
+    @pytest.mark.parametrize("block", [20, 32768])
+    def test_stacked_layers_match_single_order_objective(self, zhejiang, monkeypatch,
+                                                         block):
+        # block = 20 candidates splits the 4 x 9 stack into blocks of 2 layers
+        monkeypatch.setattr(optim, "BLOCK_CANDIDATES", block)
+        orders = [0.5, 0.21, 1.0, 0.5]
+        rng = np.random.default_rng(5)
+        points = np.stack([rng.uniform([-1.0, -7e6], [1.0, 7e6], (9, 2))
+                           for _ in orders])
+        stacked = _MapeEvaluator(zhejiang.values, orders)(points)
+        for layer, r in enumerate(orders):
+            np.testing.assert_array_equal(stacked[layer],
+                                          objective(zhejiang, r)(points[layer]))
+
     @given(r=st.sampled_from([0.21, 0.5, 0.75, 1.0]),
            a=st.floats(-0.9, 0.9), b=st.floats(-1e6, 1e6))
     @settings(max_examples=60, deadline=None)
+    @example(r=0.21, a=1.0553395965060077e-06, b=5489.0)
+    @example(r=0.21, a=0.0, b=5489.0)
+    @example(r=1.0, a=-0.0, b=-1e6)
     def test_matches_scalar_fit_path(self, r, a, b):
-        assume(abs(a) > 1e-6)
         series = WUHAN.series
         value = objective(series, r)(np.array([a, b]))
         report = fit_series(series, GreyParams(r=r, a=a, b=b))
@@ -377,6 +403,11 @@ class TestOrderSearch:
         np.testing.assert_allclose(order_grid(0.5), [0.5, 1.0])
         np.testing.assert_allclose(order_grid(0.3), [0.3, 0.6, 0.9])
         assert len(order_grid(0.01)) == 100
+        assert len(order_grid(0.001)) == 1000
+        with pytest.raises(ValueError, match="limit is 1000"):
+            order_grid(0.000999)
+        with pytest.raises(ValueError, match="limit is 1000"):
+            order_grid(1e-9)
         with pytest.raises(ValueError):
             order_grid(0.0)
         with pytest.raises(ValueError):
@@ -413,6 +444,14 @@ class TestOrderSearch:
         result = order_search(wuhan, grid_step=0.5, estimator="pso", repeats=2, pso_cfg=cfg)
         assert result.order in (0.5, 1.0)
         assert result.estimator == "pso"
+
+    def test_short_series_rejected_by_every_estimator(self):
+        short = Series(labels=[1, 2, 3], values=[1.0, 2.0, 3.0])
+        for estimator in ("lsm", "pso", "adcso"):
+            with pytest.raises(DataError, match="too short"):
+                estimate(short, 0.5, estimator=estimator)
+            with pytest.raises(DataError, match="too short"):
+                order_search(short, grid_step=0.5, estimator=estimator, repeats=1)
 
     def test_validation(self, wuhan):
         with pytest.raises(ValueError):
