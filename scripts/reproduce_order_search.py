@@ -2,7 +2,7 @@
 """Grid-search the fractional order on both embedded datasets (step 0.01).
 
 With the default cat-swarm settings and one run per grid point this takes
-roughly 6 seconds per dataset on one core and lands on order 0.21 for the
+roughly 2 seconds per dataset on one core and lands on order 0.21 for the
 container-throughput series and ~0.03 for the marine-capture series.
 """
 

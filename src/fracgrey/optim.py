@@ -16,7 +16,11 @@ non-increasing), and are fully deterministic given their seed.  The minimizers
 update whole populations with array operations; `seeking_step` and
 `tracing_step` expose the same single-agent updates for direct use and draw
 random numbers in the same layout, so a one-agent swarm reproduces them
-draw for draw.
+draw for draw.  At the default cdc = dim, a seeking agent's copies move
+every coordinate by -s or +s, so they repeat a few points (on the (a, b)
+box, 4 plus the kept position against 30 candidates).  The cat-swarm engine
+scores each distinct seeking candidate once, with the same draws and results
+as scoring every copy.
 
 The objective is the in-sample percentage error of the model values from
 ``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses
@@ -172,7 +176,9 @@ class RunTrace:
 
     ``best_fitness_per_iter[0]`` is the best fitness right after
     initialization; entry t is the best-so-far after iteration t.  The array
-    is non-increasing.
+    is non-increasing.  ``evaluations`` counts the algorithm's candidate
+    budget (every seeking copy and tracing move), not objective calls: the
+    cat-swarm engine scores repeated seeking copies once.
     """
 
     best_fitness_per_iter: np.ndarray
@@ -397,13 +403,35 @@ def _as_batch(objective_fn, dim):
     return batched
 
 
+def _seeking_options(dim, offset):
+    """Option each coordinate takes in every entry of a seeking agent's table.
+
+    Options are 0 (keep x), 1 (clip(x - s)) and 2 (clip(x + s)).  Entry
+    offset + j moves coordinate d to x + s when bit d of j is set and to
+    x - s otherwise; with offset 1, entry 0 is the kept position.
+    """
+    plus = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
+    return np.vstack([np.zeros((offset, dim), dtype=plus.dtype), 1 + plus])
+
+
 def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
-    """Run cfg.iter_max cat-swarm iterations on ``n_layers`` independent layers."""
+    """Run cfg.iter_max cat-swarm iterations on ``n_layers`` independent layers.
+
+    Seeking scores each distinct candidate once.  When every coordinate
+    moves (cdc == dim, the default), a copy moves each coordinate x to
+    clip(x - s) or clip(x + s), so an agent's smp - 1 copies (smp without
+    spc) take at most 2**dim points.  The engine scores that table, kept
+    position included, and gives the selection rule each copy's fitness
+    looked up from it, so the draws, the pick and every result are those of
+    scoring all copies.  When cdc < dim, or when the table would not be
+    smaller than the copies, the table is the copies themselves.
+    """
     dim = bounds.dim
     if cfg.cdc > dim:
         raise ValueError(f"cdc = {cfg.cdc} exceeds the search dimension {dim}")
     lower, upper, width = bounds.lower, bounds.upper, bounds.width
     vmax = cfg.v_frac * width
+    w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
     n = cfg.n_agents
     n_tracing = int(round(cfg.mr * n))
     n_seeking = n - n_tracing
@@ -422,59 +450,78 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
     trace = np.empty((n_layers, cfg.iter_max + 1))
     trace[:, 0] = best_fit
 
-    # Mutated-copy block reused every iteration; the unmutated position is
-    # prepended per agent when spc is on, as in the single-agent step.
-    mutated = np.empty((n_layers, n_seeking, n_copies, dim))
+    # Each seeking agent scores ``size`` table entries.  ``codes`` holds the
+    # flat table index of each of its per_agent candidates, the kept position
+    # (entry 0 of its table) first when spc is on.
+    offset = int(cfg.spc)
+    tabled = cfg.cdc == dim and 2 ** dim + offset < per_agent
+    size = 2 ** dim + offset if tabled else per_agent
+    copy_shape = (n_layers, n_seeking, n_copies, dim)
+    table = np.empty((n_layers, n_seeking, size, dim))
+    first = np.arange(0, n_layers * n_seeking * size, size).reshape(n_layers, n_seeking, 1)
+    codes = np.empty((n_layers, n_seeking, per_agent), dtype=np.intp)
+    codes[...] = first if tabled else first + np.arange(per_agent)
+    if tabled:
+        moves = np.empty((n_layers, n_seeking, 3, dim))  # kept, minus, plus
+        take = (_seeking_options(dim, offset) * dim + np.arange(dim)).ravel()
+        copy_codes = codes[:, :, per_agent - n_copies:]
+        copy_first = first + offset
+    else:
+        copies = table[:, :, per_agent - n_copies:]
+    coins = np.empty(copy_shape)
     kick = cfg.srd * width * ZERO_KICK
+    agents = np.arange(n_layers * n_seeking)
 
     for t in range(1, cfg.iter_max + 1):
         order = np.argsort(rng.random((n_layers, n)), axis=1)
-        tracing_idx = order[:, :n_tracing]
-        seeking_idx = order[:, n_tracing:]
+        tracers = rows[:, None], order[:, :n_tracing]
+        seekers = rows[:, None], order[:, n_tracing:]
 
         if n_seeking:
-            spos = np.take_along_axis(pos, seeking_idx[..., None], axis=1)
-            np.copyto(mutated, spos[:, :, None, :])
-            mask = _mutation_mask(rng, mutated.shape, cfg.cdc, dim) if cfg.cdc < dim else None
-            step = np.abs(mutated)
+            spos = pos[seekers]
+            mask = _mutation_mask(rng, copy_shape, cfg.cdc, dim) if cfg.cdc < dim else None
+            rng.random(out=coins)
+            step = np.abs(spos)
             small = step < ZERO_GUARD * width
             step *= cfg.srd
             np.copyto(step, kick, where=small)
-            step *= np.where(rng.random(mutated.shape) < 0.5, -1.0, 1.0)
-            if mask is not None:
-                step *= mask
-            mutated += step
-            np.clip(mutated, lower, upper, out=mutated)
-            if cfg.spc:
-                cand = np.concatenate([spos[:, :, None, :], mutated], axis=2)
+            if tabled:
+                np.copyto(moves[:, :, 0], spos)
+                np.subtract(spos, step, out=moves[:, :, 1])
+                np.add(spos, step, out=moves[:, :, 2])
+                np.clip(moves[:, :, 1:], lower, upper, out=moves[:, :, 1:])
+                np.take(moves.reshape(n_layers, n_seeking, 3 * dim), take, axis=2,
+                        out=table.reshape(n_layers, n_seeking, size * dim))
+                plus = coins >= 0.5
+                np.add(copy_first, plus[..., 0], out=copy_codes)
+                for d in range(1, dim):
+                    copy_codes += plus[..., d] << d
             else:
-                cand = mutated
-            cand_fit = batch_obj(
-                cand.reshape(n_layers, n_seeking * per_agent, dim)
-            ).reshape(n_layers, n_seeking, per_agent)
+                move = step[:, :, None, :] * np.where(coins < 0.5, -1.0, 1.0)
+                if mask is not None:
+                    move *= mask
+                np.add(spos[:, :, None, :], move, out=copies)
+                np.clip(copies, lower, upper, out=copies)
+                if cfg.spc:
+                    table[:, :, 0] = spos
+            table_fit = batch_obj(table.reshape(n_layers, n_seeking * size, dim)).reshape(-1)
             evaluations += n_seeking * per_agent
-            pick = _select_best(_candidate_probabilities(cand_fit), rng)
-            chosen = np.take_along_axis(cand, pick[..., None, None], axis=2)
-            np.put_along_axis(pos, seeking_idx[..., None], chosen.squeeze(2), axis=1)
-            np.put_along_axis(
-                fit,
-                seeking_idx,
-                np.take_along_axis(cand_fit, pick[..., None], axis=2).squeeze(2),
-                axis=1,
-            )
+            pick = _select_best(_candidate_probabilities(table_fit[codes]), rng)
+            chosen = codes.reshape(-1, per_agent)[agents, pick.ravel()]
+            pos[seekers] = table.reshape(-1, dim)[chosen].reshape(n_layers, n_seeking, dim)
+            fit[seekers] = table_fit[chosen].reshape(n_layers, n_seeking)
 
         if n_tracing:
-            w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
-            tpos = np.take_along_axis(pos, tracing_idx[..., None], axis=1)
-            tvel = np.take_along_axis(vel, tracing_idx[..., None], axis=1)
+            tpos = pos[tracers]
+            tvel = vel[tracers]
             draw = rng.random((n_layers, n_tracing, dim))
             tvel = w_d * tvel + draw * c_d * (best_pos[:, None, :] - tpos)
             np.clip(tvel, -vmax, vmax, out=tvel)
             tpos = tpos + tvel
             np.clip(tpos, lower, upper, out=tpos)
-            np.put_along_axis(pos, tracing_idx[..., None], tpos, axis=1)
-            np.put_along_axis(vel, tracing_idx[..., None], tvel, axis=1)
-            np.put_along_axis(fit, tracing_idx, batch_obj(tpos), axis=1)
+            pos[tracers] = tpos
+            vel[tracers] = tvel
+            fit[tracers] = batch_obj(tpos)
             evaluations += n_tracing
 
         ib = np.argmin(fit, axis=1)

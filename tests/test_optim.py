@@ -287,6 +287,31 @@ class TestMinimizers:
         pso_trace = pso_minimize(sphere, SPHERE_BOUNDS, pso_cfg)
         assert pso_trace.evaluations == 12 * 41
 
+    @pytest.mark.parametrize("dim,cdc,spc,smp,scored", [
+        (2, 2, True, 30, 5),     # kept position + 2**2 sign combinations
+        (2, 2, False, 30, 4),
+        (2, 1, True, 30, 30),    # cdc < dim: score the copies
+        (3, 3, True, 30, 9),
+        (2, 2, True, 5, 5),      # the table is not smaller: score the copies
+        (6, 2, True, 30, 30),
+        (6, 6, True, 30, 30),
+        (30, 30, True, 30, 30),  # 2**30 entries: never built
+    ])
+    def test_seeking_scores_each_distinct_candidate_once(self, dim, cdc, spc, smp, scored):
+        sizes = []
+
+        def counting(points):
+            sizes.append(len(points))
+            return sphere(points)
+
+        cfg = SwarmConfig(n_agents=10, smp=smp, cdc=cdc, spc=spc, iter_max=3, seed=1)
+        trace = adcso_minimize(counting, Bounds([-5.0] * dim, [5.0] * dim), cfg)
+        n_tracing = round(cfg.mr * cfg.n_agents)
+        n_seeking = cfg.n_agents - n_tracing
+        assert sizes == [cfg.n_agents] + [n_seeking * scored, n_tracing] * cfg.iter_max
+        # The evaluation count stays the algorithm's budget: one per copy.
+        assert trace.evaluations == cfg.n_agents + cfg.iter_max * (n_seeking * smp + n_tracing)
+
     def test_every_evaluated_point_within_bounds(self):
         box = Bounds(lower=[-3.0, -7.0], upper=[2.0, 5.0])
         seen = []
