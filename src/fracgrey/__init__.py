@@ -10,7 +10,6 @@ itself.  Includes the embedded benchmark datasets and a CLI
 from .benchmark import (
     BenchmarkResult,
     CellResult,
-    read_results_json,
     render_table,
     run_benchmark,
     write_results_json,
@@ -38,12 +37,9 @@ from .greymodel import (
     fit_series,
     forecast,
     lsm_fit,
-    mape,
     restored_fit,
-    time_response,
 )
 from .optim import (
-    Agent,
     Bounds,
     OrderSearchResult,
     PsoConfig,
@@ -57,8 +53,6 @@ from .optim import (
     order_search,
     pso_minimize,
     repeat_stats,
-    seeking_step,
-    tracing_step,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .optim import (
     PsoConfig,
     RepeatStats,
     SwarmConfig,
+    check_runs,
     default_bounds,
     objective,
     repeat_stats,
@@ -82,6 +83,7 @@ def run_benchmark(
 ) -> BenchmarkResult:
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    check_runs(2 * len(orders) * repeats)  # two swarm estimators
     series = dataset.series
     box = bounds or default_bounds(series)
     swarm_cfg = replace(swarm_cfg or SwarmConfig(), seed=seed)
@@ -134,21 +136,6 @@ def write_results_json(result: BenchmarkResult, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(result.records(), handle, indent=2)
         handle.write("\n")
-
-
-def read_results_json(path) -> list:
-    """Parse a results file back, checking the record schema."""
-    with open(path, encoding="utf-8") as handle:
-        records = json.load(handle)
-    required = {
-        "dataset", "estimator", "r", "mean_error_pct", "stddev",
-        "repeats", "seed", "elapsed_ms",
-    }
-    for record in records:
-        missing = required - record.keys()
-        if missing:
-            raise ValueError(f"results record missing fields: {sorted(missing)}")
-    return records
 
 
 def write_trace_csv(trace, path) -> None:

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (
+    BENCHMARK_ORDERS,
     render_table,
     run_benchmark,
     write_results_json,
@@ -20,8 +21,16 @@ from .config import pso_config_from_file, swarm_config_from_file
 from .datasets import get_dataset, load_csv
 from .errors import DataError, SingularDesignError, UsageError
 from .fracops import validate_order
-from .greymodel import Series, fit_series, forecast
-from .optim import PsoConfig, SwarmConfig, estimate, order_grid, order_search
+from .greymodel import MAX_HORIZON, Series, fit_series, forecast
+from .optim import (
+    MAX_RUNS,
+    PsoConfig,
+    SwarmConfig,
+    check_runs,
+    estimate,
+    order_grid,
+    order_search,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,14 +71,16 @@ def _build_parser():
     p_os.add_argument("--step", type=float, default=0.01,
                       help="grid step in [0.001, 0.5] (at most 1000 orders)")
     p_os.add_argument("--repeats", type=int, default=10,
-                      help="seeded runs averaged per grid point (swarm estimators)")
+                      help="seeded runs averaged per grid point (swarm estimators);"
+                           f" orders x repeats <= {MAX_RUNS}")
     _add_run_flags(p_os, default_estimator="adcso")
     p_os.add_argument("--out", metavar="PATH", help="also write the error curve CSV here")
     p_os.set_defaults(func=cmd_order_search)
 
     p_bench = sub.add_parser("benchmark", help="run the 3x3 estimator/order comparison")
     _add_input_flags(p_bench, with_csv=False)
-    p_bench.add_argument("--repeats", type=int, default=10)
+    p_bench.add_argument("--repeats", type=int, default=10,
+                         help=f"seeded runs per swarm cell; 6 x repeats <= {MAX_RUNS}")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--config", metavar="PATH",
                          help="key=value settings applied to the cat-swarm cells")
@@ -79,7 +90,8 @@ def _build_parser():
 
     p_fc = sub.add_parser("forecast", help="order-search, fit, and predict ahead")
     _add_input_flags(p_fc)
-    p_fc.add_argument("--horizon", type=int, default=1, help="periods to predict (>= 1)")
+    p_fc.add_argument("--horizon", type=int, default=1,
+                      help=f"periods to predict, 1 to {MAX_HORIZON}")
     p_fc.add_argument("--step", type=float, default=0.01)
     p_fc.add_argument("--repeats", type=int, default=10)
     _add_run_flags(p_fc, default_estimator="adcso")
@@ -100,9 +112,10 @@ def _series_from(args) -> tuple[str, Series]:
     raise UsageError("one of --dataset or --csv is required")
 
 
-def _order_from(args) -> float:
+def _usage(check, *args):
+    """``check(*args)``, with its ValueError reported as a usage error."""
     try:
-        return validate_order(args.r)
+        return check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -125,23 +138,17 @@ def _configs_from(args):
     return swarm, pso
 
 
-def _check_repeats(repeats: int) -> int:
+def _check_repeats(repeats: int, runs_per_repeat: int) -> int:
+    """``repeats``, checked before any search against the ``MAX_RUNS`` limit."""
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
+    _usage(check_runs, runs_per_repeat * repeats)
     return repeats
-
-
-def _check_step(step: float) -> float:
-    try:
-        order_grid(step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return step
 
 
 def cmd_fit(args) -> int:
     name, series = _series_from(args)
-    r = _order_from(args)
+    r = _usage(validate_order, args.r)
     swarm, pso = _configs_from(args)
     params, trace = estimate(series, r, estimator=args.estimator,
                              swarm_cfg=swarm, pso_cfg=pso)
@@ -183,13 +190,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_order_search(args) -> int:
+def _search(args):
+    """Input name, series and order search of ``args``; the plan is checked first."""
     name, series = _series_from(args)
-    step = _check_step(args.step)
-    repeats = _check_repeats(args.repeats)
+    repeats = _check_repeats(args.repeats, len(_usage(order_grid, args.step)))
     swarm, pso = _configs_from(args)
-    result = order_search(series, grid_step=step, estimator=args.estimator,
+    result = order_search(series, grid_step=args.step, estimator=args.estimator,
                           repeats=repeats, swarm_cfg=swarm, pso_cfg=pso)
+    return name, series, result
+
+
+def cmd_order_search(args) -> int:
+    _, _, result = _search(args)
     curve_lines = ["r,mean_error"]
     curve_lines += [f"{float(r)!r},{float(e)!r}"
                     for r, e in zip(result.grid, result.mean_fitness)]
@@ -207,7 +219,7 @@ def cmd_order_search(args) -> int:
 def cmd_benchmark(args) -> int:
     if not args.dataset:
         raise UsageError("--dataset is required for benchmark")
-    repeats = _check_repeats(args.repeats)
+    repeats = _check_repeats(args.repeats, 2 * len(BENCHMARK_ORDERS))
     if args.seed < 0:
         raise UsageError("seed must be non-negative")
     swarm = SwarmConfig(seed=args.seed)
@@ -229,15 +241,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    name, series = _series_from(args)
     horizon = args.horizon
-    if horizon < 1:
-        raise UsageError(f"horizon must be at least 1, got {horizon}")
-    step = _check_step(args.step)
-    repeats = _check_repeats(args.repeats)
-    swarm, pso = _configs_from(args)
-    result = order_search(series, grid_step=step, estimator=args.estimator,
-                          repeats=repeats, swarm_cfg=swarm, pso_cfg=pso)
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise UsageError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
+    name, series, result = _search(args)
     predictions = forecast(series, result.params, horizon)
     print(f"# {name}: r={result.params.r!r} a={result.params.a!r} "
           f"b={result.params.b!r} estimator={args.estimator}", file=sys.stderr)

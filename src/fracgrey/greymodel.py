@@ -15,7 +15,6 @@ fractional order accumulation", CNSNS 18(7), 2013.
 All functions are pure and stateless; reports are immutable once built.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,9 @@ from .fracops import frac_accumulate, iago_coeffs, mean_sequence, validate_order
 
 # Two parameters plus at least two validation points.
 MIN_FIT_LENGTH = 4
+
+# Longest forecast, in periods, a call may ask for.
+MAX_HORIZON = 1000
 
 
 @dataclass(frozen=True)
@@ -158,21 +160,6 @@ def lsm_fit(series: Series, r) -> GreyParams:
     return GreyParams(r=r, a=a, b=b)
 
 
-def time_response(params: GreyParams, x1: float, k: int) -> float:
-    """Accumulated-scale prediction x1 e^(-a k) + b (1 - e^(-a k)) / a.
-
-    ``k`` counts periods after the first observation; k = 0 returns ``x1``
-    exactly.  The second term is evaluated with expm1, so it keeps its digits
-    as a -> 0 and equals the limit x1 + b k at a = 0.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    u = params.a * k
-    if u == 0:
-        return float(x1 + params.b * k)
-    return float(x1 * math.exp(-u) - params.b * math.expm1(-u) / params.a)
-
-
 def restored_steps(x1, a, b, d):
     """Yield the original-scale model values x(0), x(1), ... one per weight d[k].
 
@@ -214,22 +201,6 @@ def restored_fit(series: Series, params: GreyParams, horizon: int = 0) -> np.nda
     return np.array(list(restored_steps(series.values[0], params.a, params.b, d)))
 
 
-def mape(actual, fitted) -> float:
-    """Mean absolute percentage error over the second..last points, in percent.
-
-    The first point is excluded: the model reproduces it by construction.
-    """
-    actual = np.asarray(actual, dtype=float)
-    fitted = np.asarray(fitted, dtype=float)
-    if actual.shape != fitted.shape:
-        raise ValueError("actual and fitted must have equal length")
-    if len(actual) < 2:
-        raise ValueError("need at least 2 points (the first is never scored)")
-    if np.any(actual == 0):
-        raise ZeroDivisionError("actual values must be nonzero")
-    return float(np.mean(np.abs(fitted[1:] - actual[1:]) / np.abs(actual[1:]))) * 100.0
-
-
 def fit_series(series: Series, params: GreyParams) -> FitReport:
     """Evaluate ``params`` on ``series``: fitted values, residuals, error."""
     if len(series) < 2:
@@ -247,8 +218,11 @@ def fit_series(series: Series, params: GreyParams) -> FitReport:
 
 
 def forecast(series: Series, params: GreyParams, horizon: int) -> np.ndarray:
-    """Original-scale predictions for the ``horizon`` periods after the sample."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    """Original-scale predictions for the ``horizon`` periods after the sample.
+
+    ``horizon`` lies in 1 .. ``MAX_HORIZON``.
+    """
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
     extended = restored_fit(series, params, horizon=horizon)
     return extended[len(series):]

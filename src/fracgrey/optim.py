@@ -12,11 +12,10 @@ Two box-bounded minimizers over the percentage-error objective:
 
 Both clamp positions to the search box and velocities to a fraction of the box
 width, keep the best-ever solution in memory (so best-so-far traces are
-non-increasing), and are fully deterministic given their seed.  The minimizers
-update whole populations with array operations; `seeking_step` and
-`tracing_step` expose the same single-agent updates for direct use and draw
-random numbers in the same layout, so a one-agent swarm reproduces them
-draw for draw.  At the default cdc = dim, a seeking agent's copies move
+non-increasing), and are fully deterministic given their seed.  One driver,
+`_run`, owns what both share: the initial draws, the best-so-far and the
+trace; each swarm adds only its per-iteration moves, on whole populations of
+stacked layers.  At the default cdc = dim, a seeking agent's copies move
 every coordinate by -s or +s, so they repeat a few points (on the (a, b)
 box, 4 plus the kept position against 30 candidates).  The cat-swarm engine
 scores each distinct seeking candidate once, with the same draws and results
@@ -53,6 +52,10 @@ ZERO_KICK = 1e-3
 
 # Largest order grid a search may ask for: a step of at least 0.001.
 MAX_GRID_POINTS = 1000
+
+# Most seeded swarm runs one call may ask for (order search: orders x
+# repeats), checked before anything is built: step 0.001 x repeats 10.
+MAX_RUNS = 10_000
 
 # Candidates the evaluator scores per block of layers.  Each of its work
 # arrays then takes 256 KB, small enough to stay in a core's cache.
@@ -160,24 +163,15 @@ class PsoConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
-class Agent:
-    """One swarm member: position, velocity, behavioural mode, last fitness."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    mode: str = "seeking"
-    fitness: float = math.inf
-
-
 @dataclass(frozen=True)
 class RunTrace:
     """Result of one minimizer run.
 
     ``best_fitness_per_iter[0]`` is the best fitness right after
     initialization; entry t is the best-so-far after iteration t.  The array
-    is non-increasing.  ``evaluations`` counts the algorithm's candidate
-    budget (every seeking copy and tracing move), not objective calls: the
+    is non-increasing.  ``evaluations`` is the algorithm's candidate budget
+    (the initial population, then every seeking copy and tracing move),
+    worked out from the config; it does not count objective calls: the
     cat-swarm engine scores repeated seeking copies once.
     """
 
@@ -293,12 +287,6 @@ def _adaptive_coefficients(w0, c0, dim):
     return w0 + shift, c0 - shift
 
 
-def _mutation_steps(positions, srd, width):
-    """Seeking-step magnitudes: srd * |x|, with a fixed kick near zero."""
-    mag = np.abs(positions)
-    return np.where(mag < ZERO_GUARD * width, srd * width * ZERO_KICK, srd * mag)
-
-
 def _mutation_mask(rng, shape, cdc, dim):
     """Choose ``cdc`` dimensions to mutate per candidate (all, if cdc == dim)."""
     if cdc >= dim:
@@ -342,57 +330,6 @@ def _select_best(probs, rng) -> np.ndarray:
     return np.argmax(tied * rng.random(p.shape), axis=-1)
 
 
-def seeking_step(agent: Agent, cfg: SwarmConfig, objective_fn, bounds: Bounds, rng) -> Agent:
-    """One seeking-mode move: clone, mutate, evaluate, jump by probability.
-
-    Makes smp - 1 mutated copies plus the current position when spc is set
-    (smp mutated copies otherwise), perturbs cdc randomly chosen dimensions of
-    each copy by +-srd of the coordinate value, clamps into the box, and moves
-    to the candidate with the highest selection probability.
-    """
-    if agent.mode != "seeking":
-        raise ValueError(f"agent is in {agent.mode!r} mode, expected 'seeking'")
-    dim = bounds.dim
-    pos = np.asarray(agent.position, dtype=float)
-    n_copies = cfg.smp - 1 if cfg.spc else cfg.smp
-    cand = np.broadcast_to(pos, (n_copies, dim)).copy()
-    mask = _mutation_mask(rng, (n_copies, dim), cfg.cdc, dim)
-    signs = np.where(rng.random((n_copies, dim)) < 0.5, -1.0, 1.0)
-    cand += np.where(mask, signs * _mutation_steps(cand, cfg.srd, bounds.width), 0.0)
-    np.clip(cand, bounds.lower, bounds.upper, out=cand)
-    if cfg.spc:
-        cand = np.vstack([pos[None, :], cand])
-    fits = np.asarray(objective_fn(cand), dtype=float)
-    pick = int(_select_best(_candidate_probabilities(fits), rng))
-    return Agent(
-        position=cand[pick].copy(),
-        velocity=np.asarray(agent.velocity, dtype=float).copy(),
-        mode="seeking",
-        fitness=float(fits[pick]),
-    )
-
-
-def tracing_step(agent: Agent, global_best, cfg: SwarmConfig, bounds: Bounds, rng) -> Agent:
-    """One tracing-mode move toward the best-known position.
-
-    Per dimension: v <- w_d v + u c_d (best - x) with one uniform draw u per
-    dimension, velocity clamped to +-v_frac of the box width, position moved
-    by v and clamped into the box.  The fitness field is carried over
-    unchanged; callers re-evaluate after the move.
-    """
-    if agent.mode != "tracing":
-        raise ValueError(f"agent is in {agent.mode!r} mode, expected 'tracing'")
-    dim = bounds.dim
-    w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
-    vmax = cfg.v_frac * bounds.width
-    pos = np.asarray(agent.position, dtype=float)
-    vel = np.asarray(agent.velocity, dtype=float)
-    vel = w_d * vel + rng.random(dim) * c_d * (np.asarray(global_best, dtype=float) - pos)
-    vel = np.clip(vel, -vmax, vmax)
-    pos = np.clip(pos + vel, bounds.lower, bounds.upper)
-    return Agent(position=pos, velocity=vel, mode="tracing", fitness=agent.fitness)
-
-
 def _as_batch(objective_fn, dim):
     """Adapt a (m, dim) -> (m,) objective to stacked (layers, m, dim) calls."""
 
@@ -414,34 +351,28 @@ def _seeking_options(dim, offset):
     return np.vstack([np.zeros((offset, dim), dtype=plus.dtype), 1 + plus])
 
 
-def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
-    """Run cfg.iter_max cat-swarm iterations on ``n_layers`` independent layers.
+def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers, rng):
+    """Run cfg.iter_max swarm iterations on ``n_layers`` independent layers.
 
-    Seeking scores each distinct candidate once.  When every coordinate
-    moves (cdc == dim, the default), a copy moves each coordinate x to
-    clip(x - s) or clip(x + s), so an agent's smp - 1 copies (smp without
-    spc) take at most 2**dim points.  The engine scores that table, kept
-    position included, and gives the selection rule each copy's fitness
-    looked up from it, so the draws, the pick and every result are those of
-    scoring all copies.  When cdc < dim, or when the table would not be
-    smaller than the copies, the table is the copies themselves.
+    The driver owns what both swarms share: the uniform initial positions and
+    velocities, the first evaluation, each layer's best-so-far and its trace.
+    ``moves(batch_obj, bounds, cfg, rng)`` is a generator of one swarm's
+    per-iteration updates.  It first yields its population size and the
+    candidates it spends per iteration, after checking ``cfg`` and before any
+    draw.  Each later ``send`` of the state (positions, velocities, fitness,
+    best positions) runs one iteration and returns the (fitness, positions)
+    the best is taken from; the moves update the state arrays in place.
+
+    Returns each layer's best fitness, best position and trace, and the
+    candidate budget of one layer's run.
     """
-    dim = bounds.dim
-    if cfg.cdc > dim:
-        raise ValueError(f"cdc = {cfg.cdc} exceeds the search dimension {dim}")
-    lower, upper, width = bounds.lower, bounds.upper, bounds.width
-    vmax = cfg.v_frac * width
-    w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
-    n = cfg.n_agents
-    n_tracing = int(round(cfg.mr * n))
-    n_seeking = n - n_tracing
-    n_copies = cfg.smp - 1 if cfg.spc else cfg.smp
-    per_agent = n_copies + 1 if cfg.spc else n_copies
-
-    pos = lower + rng.random((n_layers, n, dim)) * width
-    vel = -vmax + rng.random((n_layers, n, dim)) * (2.0 * vmax)
+    steps = moves(batch_obj, bounds, cfg, rng)
+    n, per_iteration = next(steps)
+    shape = (n_layers, n, bounds.dim)
+    vmax = cfg.v_frac * bounds.width
+    pos = bounds.lower + rng.random(shape) * bounds.width
+    vel = -vmax + rng.random(shape) * (2.0 * vmax)
     fit = batch_obj(pos)
-    evaluations = n
 
     rows = np.arange(n_layers)
     ib = np.argmin(fit, axis=1)
@@ -449,6 +380,45 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
     best_fit = fit[rows, ib].copy()
     trace = np.empty((n_layers, cfg.iter_max + 1))
     trace[:, 0] = best_fit
+    state = pos, vel, fit, best_pos
+    for t in range(1, cfg.iter_max + 1):
+        fitness, points = steps.send(state)
+        ib = np.argmin(fitness, axis=1)
+        current = fitness[rows, ib]
+        improved = current < best_fit
+        best_fit[improved] = current[improved]
+        best_pos[improved] = points[rows[improved], ib[improved]]
+        trace[:, t] = best_fit
+    return best_fit, best_pos, trace, n + cfg.iter_max * per_iteration
+
+
+def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
+    """Cat-swarm iterations for :func:`_run`; yields the agents' (fitness, positions).
+
+    Seeking scores each distinct candidate once.  When every coordinate
+    moves (cdc == dim, the default), a copy moves each coordinate x to
+    clip(x - s) or clip(x + s), so an agent's smp - 1 copies (smp without
+    spc) take at most 2**dim points.  The moves score that table, kept
+    position included, and give the selection rule each copy's fitness
+    looked up from it, so the draws, the pick and every result are those of
+    scoring all copies.  When cdc < dim, or when the table would not be
+    smaller than the copies, the table is the copies themselves.
+    """
+    dim = bounds.dim
+    if cfg.cdc > dim:
+        raise ValueError(f"cdc = {cfg.cdc} exceeds the search dimension {dim}")
+    n = cfg.n_agents
+    n_tracing = int(round(cfg.mr * n))
+    n_seeking = n - n_tracing
+    per_agent = cfg.smp  # candidates per seeking agent, the kept position included
+    n_copies = cfg.smp - 1 if cfg.spc else cfg.smp
+    pos, vel, fit, best_pos = yield n, n_seeking * per_agent + n_tracing
+
+    lower, upper, width = bounds.lower, bounds.upper, bounds.width
+    vmax = cfg.v_frac * width
+    w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
+    n_layers = len(pos)
+    rows = np.arange(n_layers)
 
     # Each seeking agent scores ``size`` table entries.  ``codes`` holds the
     # flat table index of each of its per_agent candidates, the kept position
@@ -462,7 +432,7 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
     codes = np.empty((n_layers, n_seeking, per_agent), dtype=np.intp)
     codes[...] = first if tabled else first + np.arange(per_agent)
     if tabled:
-        moves = np.empty((n_layers, n_seeking, 3, dim))  # kept, minus, plus
+        options = np.empty((n_layers, n_seeking, 3, dim))  # kept, minus, plus
         take = (_seeking_options(dim, offset) * dim + np.arange(dim)).ravel()
         copy_codes = codes[:, :, per_agent - n_copies:]
         copy_first = first + offset
@@ -472,7 +442,7 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
     kick = cfg.srd * width * ZERO_KICK
     agents = np.arange(n_layers * n_seeking)
 
-    for t in range(1, cfg.iter_max + 1):
+    while True:
         order = np.argsort(rng.random((n_layers, n)), axis=1)
         tracers = rows[:, None], order[:, :n_tracing]
         seekers = rows[:, None], order[:, n_tracing:]
@@ -486,11 +456,11 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
             step *= cfg.srd
             np.copyto(step, kick, where=small)
             if tabled:
-                np.copyto(moves[:, :, 0], spos)
-                np.subtract(spos, step, out=moves[:, :, 1])
-                np.add(spos, step, out=moves[:, :, 2])
-                np.clip(moves[:, :, 1:], lower, upper, out=moves[:, :, 1:])
-                np.take(moves.reshape(n_layers, n_seeking, 3 * dim), take, axis=2,
+                np.copyto(options[:, :, 0], spos)
+                np.subtract(spos, step, out=options[:, :, 1])
+                np.add(spos, step, out=options[:, :, 2])
+                np.clip(options[:, :, 1:], lower, upper, out=options[:, :, 1:])
+                np.take(options.reshape(n_layers, n_seeking, 3 * dim), take, axis=2,
                         out=table.reshape(n_layers, n_seeking, size * dim))
                 plus = coins >= 0.5
                 np.add(copy_first, plus[..., 0], out=copy_codes)
@@ -505,7 +475,6 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
                 if cfg.spc:
                     table[:, :, 0] = spos
             table_fit = batch_obj(table.reshape(n_layers, n_seeking * size, dim)).reshape(-1)
-            evaluations += n_seeking * per_agent
             pick = _select_best(_candidate_probabilities(table_fit[codes]), rng)
             chosen = codes.reshape(-1, per_agent)[agents, pick.ravel()]
             pos[seekers] = table.reshape(-1, dim)[chosen].reshape(n_layers, n_seeking, dim)
@@ -522,61 +491,52 @@ def _adcso_engine(batch_obj, bounds: Bounds, cfg: SwarmConfig, n_layers, rng):
             pos[tracers] = tpos
             vel[tracers] = tvel
             fit[tracers] = batch_obj(tpos)
-            evaluations += n_tracing
 
-        ib = np.argmin(fit, axis=1)
-        current = fit[rows, ib]
-        improved = current < best_fit
-        best_fit[improved] = current[improved]
-        best_pos[improved] = pos[rows[improved], ib[improved]]
-        trace[:, t] = best_fit
-
-    return best_fit, best_pos, trace, evaluations
+        yield fit, pos
 
 
-def _pso_engine(batch_obj, bounds: Bounds, cfg: PsoConfig, n_layers, rng):
-    """Run cfg.iter_max global-best particle-swarm iterations per layer."""
-    dim = bounds.dim
-    lower, upper, width = bounds.lower, bounds.upper, bounds.width
-    vmax = cfg.v_frac * width
+def _pso_moves(batch_obj, bounds: Bounds, cfg: PsoConfig, rng):
+    """Global-best particle-swarm iterations for :func:`_run`.
+
+    Yields each particle's best-ever (fitness, position), so the driver's
+    best is the best of those.
+    """
     n = cfg.n_particles
-
-    pos = lower + rng.random((n_layers, n, dim)) * width
-    vel = -vmax + rng.random((n_layers, n, dim)) * (2.0 * vmax)
-    fit = batch_obj(pos)
-    evaluations = n
-
+    pos, vel, fit, best_pos = yield n, n
+    vmax = cfg.v_frac * bounds.width
     pbest = pos.copy()
     pbest_fit = fit.copy()
-    rows = np.arange(n_layers)
-    ib = np.argmin(fit, axis=1)
-    best_pos = pos[rows, ib].copy()
-    best_fit = fit[rows, ib].copy()
-    trace = np.empty((n_layers, cfg.iter_max + 1))
-    trace[:, 0] = best_fit
-
-    for t in range(1, cfg.iter_max + 1):
-        r1 = rng.random((n_layers, n, dim))
-        r2 = rng.random((n_layers, n, dim))
-        vel = (cfg.w * vel
-               + cfg.c1 * r1 * (pbest - pos)
-               + cfg.c2 * r2 * (best_pos[:, None, :] - pos))
-        np.clip(vel, -vmax, vmax, out=vel)
-        pos = pos + vel
-        np.clip(pos, lower, upper, out=pos)
-        fit = batch_obj(pos)
-        evaluations += n
+    while True:
+        r1 = rng.random(pos.shape)
+        r2 = rng.random(pos.shape)
+        np.clip(cfg.w * vel
+                + cfg.c1 * r1 * (pbest - pos)
+                + cfg.c2 * r2 * (best_pos[:, None, :] - pos), -vmax, vmax, out=vel)
+        pos += vel
+        np.clip(pos, bounds.lower, bounds.upper, out=pos)
+        fit[...] = batch_obj(pos)
         improved = fit < pbest_fit
         pbest[improved] = pos[improved]
         pbest_fit[improved] = fit[improved]
-        ib = np.argmin(pbest_fit, axis=1)
-        current = pbest_fit[rows, ib]
-        better = current < best_fit
-        best_fit[better] = current[better]
-        best_pos[better] = pbest[rows[better], ib[better]]
-        trace[:, t] = best_fit
+        yield pbest_fit, pbest
 
-    return best_fit, best_pos, trace, evaluations
+
+def _layer_trace(run, layer) -> RunTrace:
+    """The RunTrace of one layer of a :func:`_run` result."""
+    best_fit, best_pos, trace, evaluations = run
+    return RunTrace(
+        best_fitness_per_iter=trace[layer],
+        best_position=best_pos[layer],
+        best_fitness=float(best_fit[layer]),
+        evaluations=evaluations,
+    )
+
+
+def _minimize(moves, objective_fn, bounds: Bounds, cfg) -> RunTrace:
+    """One single-layer run, seeded by the config, of an (m, dim) -> (m,) objective."""
+    batch_obj = _as_batch(objective_fn, bounds.dim)
+    rng = np.random.default_rng(cfg.seed)
+    return _layer_trace(_run(moves, batch_obj, bounds, cfg, 1, rng), 0)
 
 
 def adcso_minimize(objective_fn, bounds: Bounds, cfg: SwarmConfig | None = None) -> RunTrace:
@@ -586,32 +546,25 @@ def adcso_minimize(objective_fn, bounds: Bounds, cfg: SwarmConfig | None = None)
     fitness values.  Runs exactly cfg.iter_max iterations; identical inputs
     and seed reproduce the run bit for bit.
     """
-    cfg = cfg or SwarmConfig()
-    rng = np.random.default_rng(cfg.seed)
-    best_fit, best_pos, trace, evaluations = _adcso_engine(
-        _as_batch(objective_fn, bounds.dim), bounds, cfg, 1, rng
-    )
-    return RunTrace(
-        best_fitness_per_iter=trace[0],
-        best_position=best_pos[0],
-        best_fitness=float(best_fit[0]),
-        evaluations=evaluations,
-    )
+    return _minimize(_adcso_moves, objective_fn, bounds, cfg or SwarmConfig())
 
 
 def pso_minimize(objective_fn, bounds: Bounds, cfg: PsoConfig | None = None) -> RunTrace:
     """Minimize a vectorized objective with global-best particle swarm."""
-    cfg = cfg or PsoConfig()
-    rng = np.random.default_rng(cfg.seed)
-    best_fit, best_pos, trace, evaluations = _pso_engine(
-        _as_batch(objective_fn, bounds.dim), bounds, cfg, 1, rng
-    )
-    return RunTrace(
-        best_fitness_per_iter=trace[0],
-        best_position=best_pos[0],
-        best_fitness=float(best_fit[0]),
-        evaluations=evaluations,
-    )
+    return _minimize(_pso_moves, objective_fn, bounds, cfg or PsoConfig())
+
+
+def _swarm(estimator, swarm_cfg, pso_cfg):
+    """Config, moves and single-layer minimizer of a swarm estimator.
+
+    Single-layer runs go through the public minimizer, looked up by name at
+    call time, so a profiler that wraps it sees them.
+    """
+    if estimator == "adcso":
+        return swarm_cfg or SwarmConfig(), _adcso_moves, adcso_minimize
+    if estimator == "pso":
+        return pso_cfg or PsoConfig(), _pso_moves, pso_minimize
+    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def repeat_stats(objective_fn, bounds: Bounds, cfg, repeats: int) -> RepeatStats:
@@ -658,6 +611,14 @@ def order_grid(grid_step: float) -> np.ndarray:
     return grid
 
 
+def check_runs(runs: int) -> None:
+    """Reject a plan of more than ``MAX_RUNS`` seeded swarm runs."""
+    if runs > MAX_RUNS:
+        raise ValueError(
+            f"the plan asks for {runs} seeded swarm runs; the limit is {MAX_RUNS}"
+        )
+
+
 def order_search(
     series: Series,
     grid_step: float = 0.01,
@@ -673,59 +634,34 @@ def order_search(
     and ranked by mean best fitness; all grid points and repeats advance as
     layers of one stacked population, drawing from a single generator seeded
     by the config, so a search is deterministic in its inputs.  The
-    least-squares estimator is deterministic and ignores ``repeats``.
+    least-squares estimator is deterministic and ignores ``repeats``.  The
+    grid size times ``repeats`` may not exceed ``MAX_RUNS``.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     grid = order_grid(grid_step)
+    check_runs(len(grid) * repeats)
     check_fit_length(series)
 
     if estimator == "lsm":
-        mean_fitness = np.empty(len(grid))
-        fitted_params = []
-        for i, r in enumerate(grid):
-            params = lsm_fit(series, r)
-            fitted_params.append(params)
-            mean_fitness[i] = fit_series(series, params).mape
+        fitted = [lsm_fit(series, r) for r in grid]
+        mean_fitness = np.array([fit_series(series, p).mape for p in fitted])
         best = int(np.argmin(mean_fitness))
-        return OrderSearchResult(
-            order=float(grid[best]),
-            params=fitted_params[best],
-            trace=None,
-            grid=grid,
-            mean_fitness=mean_fitness,
-            estimator="lsm",
-        )
-
-    if estimator == "adcso":
-        cfg = swarm_cfg or SwarmConfig()
-        engine = _adcso_engine
-    elif estimator == "pso":
-        cfg = pso_cfg or PsoConfig()
-        engine = _pso_engine
+        params, best_trace = fitted[best], None
     else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-
-    box = bounds or default_bounds(series)
-    if box.dim != 2:
-        raise ValueError("order search estimates (a, b): bounds must be 2-D")
-    layer_orders = np.repeat(grid, repeats)
-    evaluator = _MapeEvaluator(series.values, layer_orders)
-    rng = np.random.default_rng(cfg.seed)
-    best_fit, best_pos, trace, evaluations = engine(
-        evaluator, box, cfg, len(layer_orders), rng
-    )
-    per_grid = best_fit.reshape(len(grid), repeats)
-    mean_fitness = per_grid.mean(axis=1)
-    best = int(np.argmin(mean_fitness))
-    layer = best * repeats + int(np.argmin(per_grid[best]))
-    params = GreyParams(r=float(grid[best]), a=best_pos[layer, 0], b=best_pos[layer, 1])
-    best_trace = RunTrace(
-        best_fitness_per_iter=trace[layer],
-        best_position=best_pos[layer],
-        best_fitness=float(best_fit[layer]),
-        evaluations=evaluations,
-    )
+        cfg, moves, _ = _swarm(estimator, swarm_cfg, pso_cfg)
+        box = bounds or default_bounds(series)
+        if box.dim != 2:
+            raise ValueError("order search estimates (a, b): bounds must be 2-D")
+        evaluator = _MapeEvaluator(series.values, np.repeat(grid, repeats))
+        rng = np.random.default_rng(cfg.seed)
+        run = _run(moves, evaluator, box, cfg, len(grid) * repeats, rng)
+        per_grid = run[0].reshape(len(grid), repeats)
+        mean_fitness = per_grid.mean(axis=1)
+        best = int(np.argmin(mean_fitness))
+        best_trace = _layer_trace(run, best * repeats + int(np.argmin(per_grid[best])))
+        a, b = best_trace.best_position
+        params = GreyParams(r=float(grid[best]), a=a, b=b)
     return OrderSearchResult(
         order=float(grid[best]),
         params=params,
@@ -746,16 +682,10 @@ def estimate(
 ) -> tuple[GreyParams, RunTrace | None]:
     """Estimate (a, b) at a fixed order with the chosen estimator."""
     r = validate_order(r)
-    if estimator not in ("lsm", "adcso", "pso"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     check_fit_length(series)
     if estimator == "lsm":
         return lsm_fit(series, r), None
-    box = bounds or default_bounds(series)
-    fitness = objective(series, r)
-    if estimator == "adcso":
-        trace = adcso_minimize(fitness, box, swarm_cfg or SwarmConfig())
-    else:
-        trace = pso_minimize(fitness, box, pso_cfg or PsoConfig())
-    params = GreyParams(r=r, a=trace.best_position[0], b=trace.best_position[1])
-    return params, trace
+    cfg, _, minimize = _swarm(estimator, swarm_cfg, pso_cfg)
+    trace = minimize(objective(series, r), bounds or default_bounds(series), cfg)
+    a, b = trace.best_position
+    return GreyParams(r=r, a=a, b=b), trace

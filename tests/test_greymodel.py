@@ -19,10 +19,8 @@ from fracgrey import (
     fit_series,
     forecast,
     lsm_fit,
-    mape,
-    time_response,
 )
-from fracgrey.greymodel import _solve_design, restored_fit
+from fracgrey.greymodel import MAX_HORIZON, _solve_design, restored_fit
 
 # Table rows the deterministic estimator must reproduce (percent, +-0.3).
 LSM_EXPECTED = {
@@ -130,41 +128,6 @@ def test_solve_design_singular():
         _solve_design(B, np.array([1.0, 2.0, 3.0]))
 
 
-class TestTimeResponse:
-    def test_k_zero_returns_first_value_exactly(self):
-        p = GreyParams(r=0.5, a=0.37, b=123.0)
-        assert time_response(p, 714700.0, 0) == 714700.0
-
-    def test_equilibrium_fixed_point(self):
-        p = GreyParams(r=0.5, a=0.25, b=50.0)
-        x1 = p.b / p.a
-        for k in (0, 1, 5, 40):
-            assert time_response(p, x1, k) == pytest.approx(x1, rel=1e-12)
-
-    def test_reference_point(self):
-        # frozen from a 50-digit evaluation of the closed form
-        p = GreyParams(r=0.21, a=0.015, b=212927.0)
-        value = time_response(p, 714700.0, 1)
-        assert value == pytest.approx(915397.5056435540, rel=1e-12)
-
-    def test_zero_a_limit(self):
-        p = GreyParams(r=0.5, a=0.0, b=3.0)
-        assert time_response(p, 10.0, 0) == 10.0
-        assert time_response(p, 10.0, 7) == 31.0
-
-    def test_continuous_through_zero(self):
-        # X(k) = x1 + b k (1 - a k / 2 + ...) for small a
-        for a in (1e-12, -1e-12, 1e-8):
-            p = GreyParams(r=0.5, a=a, b=3.0)
-            expected = 10.0 * np.exp(-a * 7) + 3.0 * 7 * (1 - a * 7 / 2)
-            assert time_response(p, 10.0, 7) == pytest.approx(expected, rel=1e-14)
-
-    def test_negative_k_rejected(self):
-        p = GreyParams(r=0.5, a=0.1, b=1.0)
-        with pytest.raises(ValueError):
-            time_response(p, 1.0, -1)
-
-
 def test_fit_series_self_consistency():
     params = GreyParams(r=0.5, a=0.08, b=9.0)
     series = exact_response_series(0.5, 0.08, 9.0, 10.0, 9)
@@ -186,29 +149,6 @@ def test_fit_report_invariants(wuhan):
     np.testing.assert_allclose(report.residuals, report.fitted - wuhan.values)
     assert report.mape == pytest.approx(np.mean(report.per_point_error), abs=1e-12)
     assert report.mape >= 0
-
-
-class TestMape:
-    def test_perfect_fit(self):
-        assert mape([10.0, 20.0], [10.0, 20.0]) == 0.0
-
-    def test_symmetric_ten_percent(self):
-        assert mape([10.0, 10.0, 10.0], [10.0, 11.0, 9.0]) == pytest.approx(10.0)
-
-    def test_single_scored_point(self):
-        assert mape([100.0, 200.0], [100.0, 210.0]) == pytest.approx(5.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mape([1.0, 2.0], [1.0])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            mape([1.0], [1.0])
-
-    def test_zero_actual(self):
-        with pytest.raises(ZeroDivisionError):
-            mape([1.0, 0.0], [1.0, 1.0])
 
 
 @given(scale=st.floats(1e-3, 1e3), r=st.sampled_from([0.21, 0.5, 1.0]))
@@ -249,6 +189,13 @@ class TestForecast:
         params = lsm_fit(wuhan, 0.5)
         with pytest.raises(ValueError):
             forecast(wuhan, params, 0)
+
+    def test_horizon_limit(self, wuhan):
+        params = lsm_fit(wuhan, 0.5)
+        assert len(forecast(wuhan, params, MAX_HORIZON)) == MAX_HORIZON
+        for horizon in (MAX_HORIZON + 1, 10 ** 12):
+            with pytest.raises(ValueError, match="horizon must lie in"):
+                forecast(wuhan, params, horizon)
 
     def test_continues_generating_sequence(self):
         r, a, b, x1 = 0.5, 0.08, 9.0, 10.0

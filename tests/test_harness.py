@@ -13,13 +13,18 @@ from fracgrey import (
     SwarmConfig,
     UsageError,
     load_csv,
-    read_results_json,
     render_table,
     run_benchmark,
 )
 from fracgrey.benchmark import write_trace_csv
 from fracgrey.cli import main
 from fracgrey.config import pso_config_from_file, swarm_config_from_file
+from fracgrey.greymodel import MAX_HORIZON
+from fracgrey.optim import MAX_RUNS
+
+# Fields of every benchmark results.json record.
+RECORD_FIELDS = {"dataset", "estimator", "r", "mean_error_pct", "stddev",
+                 "repeats", "seed", "elapsed_ms"}
 
 
 # --- embedded data -----------------------------------------------------------
@@ -191,8 +196,9 @@ def test_benchmark_results_file_round_trip(small_benchmark, tmp_path):
 
     path = tmp_path / "results.json"
     write_results_json(small_benchmark, path)
-    records = read_results_json(path)
+    records = json.loads(path.read_text())
     assert len(records) == 9
+    assert all(set(rec) == RECORD_FIELDS for rec in records)
     by_key = {(rec["estimator"], rec["r"]): rec for rec in records}
     for cell in small_benchmark.cells:
         rec = by_key[(cell.estimator, cell.r)]
@@ -371,7 +377,7 @@ def test_cli_benchmark(capsys, tmp_path):
     assert code == 0
     for name in ("LSM", "PSO", "ADCSO"):
         assert name in out
-    records = read_results_json(out_dir / "results.json")
+    records = json.loads((out_dir / "results.json").read_text())
     assert len(records) == 9
     assert (out_dir / "table.txt").read_text().strip() in out
     traces = sorted((out_dir / "traces").glob("*.csv"))
@@ -425,6 +431,50 @@ def test_cli_forecast_horizon_zero(capsys):
     code, _, _ = run_cli(capsys, "forecast", "--dataset", "wuhan",
                          "--horizon", "0", "--estimator", "lsm")
     assert code == 1
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the plan should be rejected before any search runs")
+
+
+@pytest.mark.parametrize("horizon", [str(MAX_HORIZON + 1), "1000000000000"])
+def test_cli_forecast_horizon_limit(capsys, monkeypatch, horizon):
+    monkeypatch.setattr("fracgrey.cli.order_search", _no_search)
+    code, out, err = run_cli(capsys, "forecast", "--dataset", "wuhan",
+                             "--horizon", horizon)
+    assert code == 1
+    assert err.startswith("usage error:") and f"[1, {MAX_HORIZON}]" in err
+    assert out == ""
+
+
+def test_cli_forecast_at_horizon_limit(capsys):
+    code, out, _ = run_cli(capsys, "forecast", "--dataset", "wuhan", "--estimator", "lsm",
+                           "--step", "0.25", "--horizon", str(MAX_HORIZON))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == MAX_HORIZON + 1
+    assert lines[-1].startswith(f"{2015 + MAX_HORIZON},")
+
+
+@pytest.mark.parametrize("argv", [
+    ("order-search", "--step", "0.5", "--repeats", "100000000000"),
+    ("order-search", "--step", "0.001", "--repeats", "11", "--estimator", "pso"),
+    ("forecast", "--step", "0.5", "--repeats", "100000000000"),
+    ("forecast", "--step", "0.01", "--repeats", str(MAX_RUNS // 100 + 1)),
+    ("benchmark", "--repeats", str(MAX_RUNS // 6 + 1)),
+])
+def test_cli_plan_over_run_limit_rejected(capsys, monkeypatch, argv):
+    monkeypatch.setattr("fracgrey.cli.order_search", _no_search)
+    monkeypatch.setattr("fracgrey.cli.run_benchmark", _no_search)
+    code, out, err = run_cli(capsys, *argv, "--dataset", "wuhan")
+    assert code == 1
+    assert err.startswith("usage error:") and f"limit is {MAX_RUNS}" in err
+    assert out == ""
+
+
+def test_benchmark_run_limit():
+    with pytest.raises(ValueError, match=f"limit is {MAX_RUNS}"):
+        run_benchmark(WUHAN, repeats=MAX_RUNS // 6 + 1)
 
 
 def test_cli_config_unknown_key_is_usage_error(capsys, tmp_path):

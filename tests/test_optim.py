@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_response_series, oracle_reduce
+from single_agent import Agent, seeking_step, tracing_step
 from fracgrey import (
     WUHAN,
-    Agent,
     Bounds,
     DataError,
     GreyParams,
@@ -21,8 +21,6 @@ from fracgrey import (
     order_search,
     pso_minimize,
     repeat_stats,
-    seeking_step,
-    tracing_step,
 )
 from fracgrey import optim
 from fracgrey.optim import (
@@ -328,9 +326,11 @@ class TestMinimizers:
         assert np.all(everything <= box.upper + 0.0)
 
     def test_cdc_larger_than_dimension_rejected(self):
-        cfg = SwarmConfig(cdc=3)
-        with pytest.raises(ValueError):
-            adcso_minimize(sphere, SPHERE_BOUNDS, cfg)
+        def unreachable(points):
+            raise AssertionError("evaluated before the config was checked")
+
+        with pytest.raises(ValueError, match="cdc = 3 exceeds"):
+            adcso_minimize(unreachable, SPHERE_BOUNDS, SwarmConfig(cdc=3))
 
     def test_beats_random_search_with_same_budget(self):
         runs = [
@@ -437,6 +437,15 @@ class TestOrderSearch:
             order_grid(0.0)
         with pytest.raises(ValueError):
             order_grid(0.6)
+
+    @pytest.mark.parametrize("estimator", ["lsm", "pso", "adcso"])
+    def test_run_limit_checked_first(self, wuhan, estimator):
+        # 2 orders x 10^11 repeats: rejected before any array is built
+        with pytest.raises(ValueError, match=f"limit is {optim.MAX_RUNS}"):
+            order_search(wuhan, grid_step=0.5, estimator=estimator, repeats=10 ** 11)
+        with pytest.raises(ValueError, match=f"limit is {optim.MAX_RUNS}"):
+            order_search(wuhan, grid_step=0.001, estimator=estimator,
+                         repeats=optim.MAX_RUNS // 1000 + 1)
 
     def test_lsm_recovers_exact_generating_order(self):
         series = exact_response_series(0.5, 0.05, 8.0, 10.0, 9)
