@@ -83,11 +83,11 @@ def run_benchmark(
 ) -> BenchmarkResult:
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    check_runs(2 * len(orders) * repeats)  # two swarm estimators
-    series = dataset.series
-    box = bounds or default_bounds(series)
     swarm_cfg = replace(swarm_cfg or SwarmConfig(), seed=seed)
     pso_cfg = replace(pso_cfg or PsoConfig(), seed=seed)
+    check_runs(len(orders) * repeats, swarm_cfg, pso_cfg)
+    series = dataset.series
+    box = bounds or default_bounds(series)
     cells = []
     for estimator in BENCHMARK_ESTIMATORS:
         for r in orders:

@@ -7,7 +7,6 @@ design.  Runs with an explicit --seed are byte-reproducible.
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (
@@ -86,7 +85,7 @@ def _build_parser():
                          help="key=value settings applied to the cat-swarm cells")
     p_bench.add_argument("--out", metavar="DIR",
                          help="write results.json, table.txt and per-run traces here")
-    p_bench.set_defaults(func=cmd_benchmark)
+    p_bench.set_defaults(func=cmd_benchmark, estimator="adcso")
 
     p_fc = sub.add_parser("forecast", help="order-search, fit, and predict ahead")
     _add_input_flags(p_fc)
@@ -138,11 +137,16 @@ def _configs_from(args):
     return swarm, pso
 
 
-def _check_repeats(repeats: int, runs_per_repeat: int) -> int:
-    """``repeats``, checked before any search against the ``MAX_RUNS`` limit."""
+def _swarms_of(args, swarm, pso) -> tuple:
+    """The configs of the swarms that ``args.estimator`` runs."""
+    return {"adcso": (swarm,), "pso": (pso,)}.get(args.estimator, ())
+
+
+def _check_repeats(repeats: int, runs_per_repeat: int, *cfgs) -> int:
+    """``repeats``, checked before any search against the plan limits."""
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
-    _usage(check_runs, runs_per_repeat * repeats)
+    _usage(check_runs, runs_per_repeat * repeats, *cfgs)
     return repeats
 
 
@@ -150,6 +154,7 @@ def cmd_fit(args) -> int:
     name, series = _series_from(args)
     r = _usage(validate_order, args.r)
     swarm, pso = _configs_from(args)
+    _usage(check_runs, 1, *_swarms_of(args, swarm, pso))
     params, trace = estimate(series, r, estimator=args.estimator,
                              swarm_cfg=swarm, pso_cfg=pso)
     report = fit_series(series, params)
@@ -193,8 +198,9 @@ def cmd_fit(args) -> int:
 def _search(args):
     """Input name, series and order search of ``args``; the plan is checked first."""
     name, series = _series_from(args)
-    repeats = _check_repeats(args.repeats, len(_usage(order_grid, args.step)))
+    grid = _usage(order_grid, args.step)
     swarm, pso = _configs_from(args)
+    repeats = _check_repeats(args.repeats, len(grid), *_swarms_of(args, swarm, pso))
     result = order_search(series, grid_step=args.step, estimator=args.estimator,
                           repeats=repeats, swarm_cfg=swarm, pso_cfg=pso)
     return name, series, result
@@ -219,14 +225,11 @@ def cmd_order_search(args) -> int:
 def cmd_benchmark(args) -> int:
     if not args.dataset:
         raise UsageError("--dataset is required for benchmark")
-    repeats = _check_repeats(args.repeats, 2 * len(BENCHMARK_ORDERS))
-    if args.seed < 0:
-        raise UsageError("seed must be non-negative")
-    swarm = SwarmConfig(seed=args.seed)
-    if args.config:
-        swarm = swarm_config_from_file(args.config, seed=args.seed)
+    swarm, pso = _configs_from(args)
+    repeats = _check_repeats(args.repeats, len(BENCHMARK_ORDERS), swarm, pso)
     dataset = get_dataset(args.dataset)
-    result = run_benchmark(dataset, repeats=repeats, seed=args.seed, swarm_cfg=swarm)
+    result = run_benchmark(dataset, repeats=repeats, seed=args.seed,
+                           swarm_cfg=swarm, pso_cfg=pso)
     table = render_table(result)
     print(table)
     if args.out:

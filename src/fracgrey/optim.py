@@ -7,7 +7,7 @@ Two box-bounded minimizers over the percentage-error objective:
   which moves toward the best position found so far with per-dimension
   adaptive inertia/acceleration, and a seeking group, whose members clone
   themselves, mutate the clones by a fraction of their own coordinate values,
-  and jump to a clone chosen by fitness-derived probability;
+  and jump to the candidate of lowest fitness, ties broken at random;
 * global-best particle swarm with fixed inertia and two acceleration terms.
 
 Both clamp positions to the search box and velocities to a fraction of the box
@@ -24,13 +24,15 @@ as scoring every copy.
 The objective is the in-sample percentage error of the model values from
 ``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses
 too.  It is defined for every finite (a, b), a = 0 included, and a candidate
-whose error is not finite scores +inf.  Objective functions are pure; a run's
+whose error is not finite scores +inf.  The same holds for any objective: a
+non-finite fitness (NaN, +inf or -inf) counts as +inf from where it enters the
+engine, so the search routes around it.  Objective functions are pure; a run's
 random draws all happen in one deterministic serial order, so results never
 depend on how evaluations are scheduled.  Distinct runs share no state.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,9 +55,13 @@ ZERO_KICK = 1e-3
 # Largest order grid a search may ask for: a step of at least 0.001.
 MAX_GRID_POINTS = 1000
 
-# Most seeded swarm runs one call may ask for (order search: orders x
-# repeats), checked before anything is built: step 0.001 x repeats 10.
+# The largest plan one call may ask for, checked before anything is built.
+# MAX_RUNS seeded swarm runs (order search: orders x repeats; step 0.001 x
+# repeats 10) fit at the default population, copies and iter_max up to 1000.
 MAX_RUNS = 10_000
+MAX_AGENTS = 40 * MAX_RUNS  # runs x population
+MAX_CANDIDATES = 30 * MAX_AGENTS  # runs x population x candidates per agent
+MAX_TRACE = 1001 * MAX_RUNS  # runs x (iter_max + 1)
 
 # Candidates the evaluator scores per block of layers.  Each of its work
 # arrays then takes 256 KB, small enough to stay in a core's cache.
@@ -97,6 +103,14 @@ def default_bounds(series: Series) -> Bounds:
                   upper=np.array([1.0, 2.0 * peak]))
 
 
+def _check_finite(cfg):
+    """Reject a config with a NaN or infinite setting."""
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
     """Cat-swarm settings; the defaults are the reference benchmark settings.
@@ -122,6 +136,7 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
         if self.smp < 1:
@@ -153,6 +168,7 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.n_particles < 1:
             raise ValueError("n_particles must be at least 1")
         if self.iter_max < 1:
@@ -295,47 +311,18 @@ def _mutation_mask(rng, shape, cdc, dim):
     return ranks.argsort(axis=-1).argsort(axis=-1) < cdc
 
 
-def _candidate_probabilities(fitness) -> np.ndarray:
-    """Selection probabilities over the trailing candidate axis.
-
-    Distinct finite fitnesses map affinely onto [0, 1] with the minimum at
-    probability 1 and the maximum finite value at 0; all-equal candidates
-    share probability 1; +inf candidates always get probability 0.
-    """
-    f = np.asarray(fitness, dtype=float)
-    inf_mask = ~np.isfinite(f)
-    if not inf_mask.any():
-        fmax = f.max(axis=-1, keepdims=True)
-        span = fmax - f.min(axis=-1, keepdims=True)
-        with np.errstate(all="ignore"):
-            probs = (fmax - f) / span
-        equal = ~(span > 0)
-        if equal.any():
-            probs = np.where(equal, 1.0, probs)
-        return probs
-    with np.errstate(all="ignore"):
-        fmax = np.where(inf_mask, -np.inf, f).max(axis=-1, keepdims=True)
-        span = fmax - f.min(axis=-1, keepdims=True)
-        probs = (fmax - f) / span
-    equal = ~(span > 0)
-    probs = np.where(inf_mask, 0.0, probs)
-    probs = np.where(equal & ~inf_mask, 1.0, probs)
-    return np.where(inf_mask.all(axis=-1, keepdims=True), 1.0, probs)
-
-
-def _select_best(probs, rng) -> np.ndarray:
-    """Index of the highest probability per row, ties broken uniformly."""
-    p = np.asarray(probs, dtype=float)
-    tied = p == p.max(axis=-1, keepdims=True)
-    return np.argmax(tied * rng.random(p.shape), axis=-1)
+def _select_best(fitness, rng) -> np.ndarray:
+    """Index of the lowest fitness per row, ties broken uniformly."""
+    tied = fitness == fitness.min(axis=-1, keepdims=True)
+    return np.argmax(tied * rng.random(fitness.shape), axis=-1)
 
 
 def _as_batch(objective_fn, dim):
-    """Adapt a (m, dim) -> (m,) objective to stacked (layers, m, dim) calls."""
+    """Adapt a (m, dim) -> (m,) objective to stacked calls; non-finite values become +inf."""
 
     def batched(pts):
         flat = np.asarray(objective_fn(pts.reshape(-1, dim)), dtype=float)
-        return flat.reshape(pts.shape[:-1])
+        return np.where(np.isfinite(flat), flat, np.inf).reshape(pts.shape[:-1])
 
     return batched
 
@@ -475,7 +462,7 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
                 if cfg.spc:
                     table[:, :, 0] = spos
             table_fit = batch_obj(table.reshape(n_layers, n_seeking * size, dim)).reshape(-1)
-            pick = _select_best(_candidate_probabilities(table_fit[codes]), rng)
+            pick = _select_best(table_fit[codes], rng)
             chosen = codes.reshape(-1, per_agent)[agents, pick.ravel()]
             pos[seekers] = table.reshape(-1, dim)[chosen].reshape(n_layers, n_seeking, dim)
             fit[seekers] = table_fit[chosen].reshape(n_layers, n_seeking)
@@ -534,6 +521,7 @@ def _layer_trace(run, layer) -> RunTrace:
 
 def _minimize(moves, objective_fn, bounds: Bounds, cfg) -> RunTrace:
     """One single-layer run, seeded by the config, of an (m, dim) -> (m,) objective."""
+    check_runs(1, cfg)
     batch_obj = _as_batch(objective_fn, bounds.dim)
     rng = np.random.default_rng(cfg.seed)
     return _layer_trace(_run(moves, batch_obj, bounds, cfg, 1, rng), 0)
@@ -542,15 +530,18 @@ def _minimize(moves, objective_fn, bounds: Bounds, cfg) -> RunTrace:
 def adcso_minimize(objective_fn, bounds: Bounds, cfg: SwarmConfig | None = None) -> RunTrace:
     """Minimize a vectorized objective with the cat-swarm search.
 
-    ``objective_fn`` takes an (m, dim) batch of positions and returns m
-    fitness values.  Runs exactly cfg.iter_max iterations; identical inputs
-    and seed reproduce the run bit for bit.
+    ``objective_fn`` takes an (m, dim) batch of positions and returns m fitness
+    values; NaN, +inf and -inf all count as +inf.  Runs exactly cfg.iter_max
+    iterations; identical inputs and seed reproduce the run bit for bit.
     """
     return _minimize(_adcso_moves, objective_fn, bounds, cfg or SwarmConfig())
 
 
 def pso_minimize(objective_fn, bounds: Bounds, cfg: PsoConfig | None = None) -> RunTrace:
-    """Minimize a vectorized objective with global-best particle swarm."""
+    """Minimize a vectorized objective with global-best particle swarm.
+
+    NaN, +inf and -inf fitness all count as +inf, as in :func:`adcso_minimize`.
+    """
     return _minimize(_pso_moves, objective_fn, bounds, cfg or PsoConfig())
 
 
@@ -575,6 +566,7 @@ def repeat_stats(objective_fn, bounds: Bounds, cfg, repeats: int) -> RepeatStats
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    check_runs(repeats, cfg)
     minimize = adcso_minimize if isinstance(cfg, SwarmConfig) else pso_minimize
     traces = tuple(
         minimize(objective_fn, bounds, replace(cfg, seed=cfg.seed + i))
@@ -611,12 +603,28 @@ def order_grid(grid_step: float) -> np.ndarray:
     return grid
 
 
-def check_runs(runs: int) -> None:
-    """Reject a plan of more than ``MAX_RUNS`` seeded swarm runs."""
-    if runs > MAX_RUNS:
-        raise ValueError(
-            f"the plan asks for {runs} seeded swarm runs; the limit is {MAX_RUNS}"
-        )
+def _run_sizes(cfg):
+    """Agents, candidates and trace entries of one seeded run of ``cfg``."""
+    if isinstance(cfg, SwarmConfig):
+        return cfg.n_agents, cfg.n_agents * cfg.smp, cfg.iter_max + 1
+    return cfg.n_particles, cfg.n_particles, cfg.iter_max + 1
+
+
+def check_runs(runs: int, *cfgs) -> None:
+    """Reject a plan of ``runs`` seeded runs of each swarm config in ``cfgs``.
+
+    The plan may ask for at most ``MAX_RUNS`` runs in all, and its runs
+    together for at most ``MAX_AGENTS`` agents, ``MAX_CANDIDATES`` candidates
+    (agents x candidates per agent, one per particle) and ``MAX_TRACE`` trace
+    entries (iter_max + 1 per run).  With no config, only the runs count.
+    """
+    totals = [runs * max(len(cfgs), 1)]
+    totals += [runs * sum(sizes) for sizes in zip(*map(_run_sizes, cfgs))]
+    limits = [("seeded swarm runs", MAX_RUNS), ("agents", MAX_AGENTS),
+              ("candidates", MAX_CANDIDATES), ("trace entries", MAX_TRACE)]
+    for total, (what, limit) in zip(totals, limits):
+        if total > limit:
+            raise ValueError(f"the plan asks for {total} {what}; the limit is {limit}")
 
 
 def order_search(
@@ -635,12 +643,16 @@ def order_search(
     layers of one stacked population, drawing from a single generator seeded
     by the config, so a search is deterministic in its inputs.  The
     least-squares estimator is deterministic and ignores ``repeats``.  The
-    grid size times ``repeats`` may not exceed ``MAX_RUNS``.
+    plan of grid size times ``repeats`` runs must pass :func:`check_runs`.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     grid = order_grid(grid_step)
-    check_runs(len(grid) * repeats)
+    if estimator == "lsm":
+        check_runs(len(grid) * repeats)
+    else:
+        cfg, moves, _ = _swarm(estimator, swarm_cfg, pso_cfg)
+        check_runs(len(grid) * repeats, cfg)
     check_fit_length(series)
 
     if estimator == "lsm":
@@ -649,7 +661,6 @@ def order_search(
         best = int(np.argmin(mean_fitness))
         params, best_trace = fitted[best], None
     else:
-        cfg, moves, _ = _swarm(estimator, swarm_cfg, pso_cfg)
         box = bounds or default_bounds(series)
         if box.dim != 2:
             raise ValueError("order search estimates (a, b): bounds must be 2-D")

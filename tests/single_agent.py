@@ -5,6 +5,12 @@ of the cat-swarm search, written plainly, and draw random numbers in the
 layout the engine uses for a one-agent swarm.  A one-agent run of
 ``adcso_minimize`` must therefore reproduce them draw for draw
 (``TestEngineMatchesSingleAgentSteps`` in ``test_optim.py``).
+
+Seeking here keeps the paper's selection rule, P_i = (FS_max - FS_i) /
+(FS_max - FS_min) (Chu, Tsai and Pan, "Cat Swarm Optimization", PRICAI
+2006), and moves to a candidate of highest probability.  The engine takes
+the lowest fitness instead, which picks the same candidate unless two
+distinct fitnesses round to the same probability.
 """
 
 import math
@@ -17,9 +23,7 @@ from fracgrey.optim import (
     ZERO_GUARD,
     ZERO_KICK,
     _adaptive_coefficients,
-    _candidate_probabilities,
     _mutation_mask,
-    _select_best,
 )
 
 
@@ -39,13 +43,31 @@ def _mutation_steps(positions, srd, width):
     return np.where(mag < ZERO_GUARD * width, srd * width * ZERO_KICK, srd * mag)
 
 
+def selection_probabilities(fits) -> np.ndarray:
+    """The paper's selection probability of every candidate.
+
+    FS_max and FS_min are the largest and smallest finite fitness.  Finite
+    candidates get (FS_max - FS_i) / (FS_max - FS_min), or 1 when all of them
+    are equal; a candidate whose fitness is not finite gets 0, unless none is
+    finite, when all get 1.
+    """
+    f = np.asarray(fits, dtype=float)
+    finite = np.isfinite(f)
+    if not finite.any():
+        return np.ones(len(f))
+    fmax, fmin = f[finite].max(), f[finite].min()
+    if fmax == fmin:
+        return np.where(finite, 1.0, 0.0)
+    return np.where(finite, (fmax - f) / (fmax - fmin), 0.0)
+
+
 def seeking_step(agent: Agent, cfg: SwarmConfig, objective_fn, bounds: Bounds, rng) -> Agent:
     """One seeking-mode move: clone, mutate, evaluate, jump by probability.
 
     Makes smp - 1 mutated copies plus the current position when spc is set
     (smp mutated copies otherwise), perturbs cdc randomly chosen dimensions of
     each copy by +-srd of the coordinate value, clamps into the box, and moves
-    to the candidate with the highest selection probability.
+    to a candidate of highest selection probability, ties broken uniformly.
     """
     if agent.mode != "seeking":
         raise ValueError(f"agent is in {agent.mode!r} mode, expected 'seeking'")
@@ -60,7 +82,9 @@ def seeking_step(agent: Agent, cfg: SwarmConfig, objective_fn, bounds: Bounds, r
     if cfg.spc:
         cand = np.vstack([pos[None, :], cand])
     fits = np.asarray(objective_fn(cand), dtype=float)
-    pick = int(_select_best(_candidate_probabilities(fits), rng))
+    probs = selection_probabilities(fits)
+    tied = probs == probs.max()
+    pick = int(np.argmax(tied * rng.random(len(fits))))
     return Agent(
         position=cand[pick].copy(),
         velocity=np.asarray(agent.velocity, dtype=float).copy(),

@@ -6,7 +6,8 @@ a result, or in the order of the random draws, changes the hash.  The cases
 cover the three public entry points on both paper datasets and cat-swarm
 settings that take every seeking path: all dimensions mutated or only some,
 with and without the kept position, one candidate per agent, dimensions
-1 to 6, a box edge and an objective that is +inf on part of the box.
+1 to 6, a box edge and an objective that is +inf on part of the box.  The
+same objective walled by NaN or -inf must give the +inf run bit for bit.
 
 The hashes depend on the platform's floating-point library.  To see the
 current values, run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -21,12 +22,14 @@ from fracgrey import (
     WUHAN,
     ZHEJIANG,
     Bounds,
+    PsoConfig,
     SwarmConfig,
     adcso_minimize,
     default_bounds,
     estimate,
     objective,
     order_search,
+    pso_minimize,
     repeat_stats,
 )
 
@@ -52,10 +55,17 @@ def corner(points):
     return np.sum((np.asarray(points, dtype=float) - 4.9) ** 2, axis=-1)
 
 
-def walled(points):
-    """The sphere, but +inf wherever the first coordinate exceeds 1."""
-    pts = np.asarray(points, dtype=float)
-    return np.where(pts[:, 0] > 1.0, np.inf, np.sum(pts ** 2, axis=-1))
+def walled_by(value):
+    """The sphere, but ``value`` wherever the first coordinate exceeds 1."""
+
+    def walled(points):
+        pts = np.asarray(points, dtype=float)
+        return np.where(pts[:, 0] > 1.0, value, np.sum(pts ** 2, axis=-1))
+
+    return walled
+
+
+walled = walled_by(np.inf)
 
 
 def box(dim):
@@ -109,6 +119,16 @@ def _sphere_case(name):
     return _digest([adcso_minimize(fn, box(dim), cfg)])
 
 
+def _wall_case(estimator, value):
+    """Digest of a 2-D run on the sphere walled by ``value``; adcso as "walled-dim2"."""
+    fn = walled_by(value)
+    if estimator == "adcso":
+        run = adcso_minimize(fn, box(2), SwarmConfig(n_agents=10, iter_max=40, seed=4))
+    else:
+        run = pso_minimize(fn, box(2), PsoConfig(n_particles=10, iter_max=40, seed=4))
+    return _digest([run])
+
+
 GOLDEN = {
     ("estimate", "wuhan"): "c606f9ecd19fee9576cd6f2f30ef7a231b4514a52e025772b8288ffd2acea1d3",
     ("estimate", "zhejiang"): "e84f95432064909f09b24bad0ec2055281f6b48a61520e4a7815122a620daed8",
@@ -152,6 +172,13 @@ def test_dataset_runs_match_golden_hash(kind, name):
 @pytest.mark.parametrize("name", sorted(SPHERE_CASES))
 def test_sphere_runs_match_golden_hash(name):
     assert _sphere_case(name) == GOLDEN_SPHERE[name]
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize("estimator", ["adcso", "pso"])
+def test_non_finite_wall_runs_as_the_inf_wall(estimator, value):
+    expected = GOLDEN_SPHERE["walled-dim2"] if estimator == "adcso" else _wall_case("pso", np.inf)
+    assert _wall_case(estimator, value) == expected
 
 
 if __name__ == "__main__":

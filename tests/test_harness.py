@@ -477,6 +477,42 @@ def test_benchmark_run_limit():
         run_benchmark(WUHAN, repeats=MAX_RUNS // 6 + 1)
 
 
+FIT = ("fit", "--r", "0.25", "--estimator")
+
+
+@pytest.mark.parametrize("argv,setting", [
+    ((*FIT, "adcso"), "Iter_max = 1000000000000"),
+    ((*FIT, "adcso"), "N = 1000000000"),
+    ((*FIT, "adcso"), "M = 1000000000"),
+    ((*FIT, "pso"), "N = 1000000000"),
+    (("order-search", "--step", "0.001", "--repeats", "10"), "Iter_max = 1001"),
+    (("forecast", "--step", "0.5", "--estimator", "pso"), "N = 1000000000"),
+    (("benchmark", "--repeats", "1"), "M = 1000000000"),
+])
+def test_cli_config_over_plan_limit_rejected(capsys, monkeypatch, tmp_path, argv, setting):
+    for search in ("estimate", "order_search", "run_benchmark"):
+        monkeypatch.setattr(f"fracgrey.cli.{search}", _no_search)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(setting + "\n")
+    code, out, err = run_cli(capsys, *argv, "--dataset", "wuhan", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("usage error:") and "the limit is" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("estimator,setting", [("adcso", "SRD = nan"), ("pso", "w = inf")])
+def test_cli_config_non_finite_setting_rejected(capsys, monkeypatch, tmp_path,
+                                                estimator, setting):
+    monkeypatch.setattr("fracgrey.cli.estimate", _no_search)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(setting + "\n")
+    code, out, err = run_cli(capsys, *FIT, estimator, "--dataset", "wuhan",
+                             "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("usage error:") and "must be finite" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_cli_config_unknown_key_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

@@ -21,12 +21,12 @@ from fracgrey import (
     order_search,
     pso_minimize,
     repeat_stats,
+    run_benchmark,
 )
 from fracgrey import optim
 from fracgrey.optim import (
     _MapeEvaluator,
     _adaptive_coefficients,
-    _candidate_probabilities,
     _select_best,
     order_grid,
 )
@@ -52,7 +52,9 @@ class TestConfigs:
     @pytest.mark.parametrize("kwargs", [
         dict(n_agents=0), dict(smp=0), dict(srd=-0.1), dict(cdc=0),
         dict(mr=0.0), dict(mr=1.0), dict(iter_max=0), dict(v_frac=0.0),
-        dict(seed=-1),
+        dict(seed=-1), dict(srd=np.nan), dict(mr=np.nan), dict(c0=np.nan),
+        dict(c0=np.inf), dict(w0=np.inf), dict(w0=-np.inf), dict(v_frac=np.inf),
+        dict(n_agents=np.nan),
     ])
     def test_swarm_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -60,6 +62,8 @@ class TestConfigs:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_particles=0), dict(iter_max=0), dict(v_frac=0.0), dict(seed=-1),
+        dict(c1=np.nan), dict(c2=np.inf), dict(w=np.inf), dict(w=np.nan),
+        dict(v_frac=np.nan),
     ])
     def test_pso_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -79,41 +83,38 @@ class TestConfigs:
         assert box.lower[1] <= 212927.0 <= box.upper[1]
 
 
-class TestCandidateProbabilities:
+class TestSelectBest:
+    @staticmethod
+    def _picks(fitness, draws=50):
+        rng = np.random.default_rng(0)
+        return {int(_select_best(np.array(fitness), rng)) for _ in range(draws)}
+
     def test_documented_example(self):
-        probs = _candidate_probabilities(np.array([5.0, 3.0, 9.0]))
-        np.testing.assert_allclose(probs, [4.0 / 6.0, 1.0, 0.0])
-        assert _select_best(probs, np.random.default_rng(0)) == 1
+        assert _select_best(np.array([5.0, 3.0, 9.0]), np.random.default_rng(0)) == 1
 
-    def test_all_equal_share_probability_one(self):
-        np.testing.assert_array_equal(_candidate_probabilities(np.full(6, 2.5)), np.ones(6))
+    def test_infinite_never_picked_beside_finite(self):
+        assert self._picks([np.inf, 2.0, 4.0]) == {1}
+        assert self._picks([np.inf, 7.0, np.inf]) == {1}
 
-    def test_infinite_candidates_get_zero(self):
-        probs = _candidate_probabilities(np.array([np.inf, 2.0, 4.0]))
-        np.testing.assert_allclose(probs, [0.0, 1.0, 0.0])
+    def test_all_equal_reach_every_index(self):
+        assert self._picks(np.full(6, 2.5)) == set(range(6))
+
+    def test_all_infinite_reach_every_index(self):
+        assert self._picks(np.full(4, np.inf)) == set(range(4))
 
     def test_equal_finite_with_infinite(self):
-        probs = _candidate_probabilities(np.array([3.0, np.inf, 3.0]))
-        np.testing.assert_array_equal(probs, [1.0, 0.0, 1.0])
+        assert self._picks([3.0, np.inf, 3.0]) == {0, 2}
 
-    def test_all_infinite(self):
-        np.testing.assert_array_equal(
-            _candidate_probabilities(np.full(4, np.inf)), np.ones(4)
-        )
+    def test_rows_select_independently(self):
+        rows = np.array([[5.0, 3.0, 9.0], [np.inf, 1.0, 0.5]])
+        np.testing.assert_array_equal(_select_best(rows, np.random.default_rng(0)), [1, 2])
 
-    @given(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=10))
-    def test_probabilities_lie_in_unit_interval(self, fits):
+    @given(st.lists(st.one_of(st.floats(0.0, 100.0), st.just(np.inf)),
+                    min_size=1, max_size=10),
+           st.integers(0, 2 ** 32 - 1))
+    def test_pick_holds_the_row_minimum(self, fits, seed):
         f = np.array(fits)
-        probs = _candidate_probabilities(f)
-        assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
-        if len(set(fits)) > 1:
-            assert probs[np.argmin(f)] == 1.0
-
-    def test_selection_tie_break_stays_within_ties(self):
-        probs = np.array([1.0, 0.2, 1.0, 0.5])
-        rng = np.random.default_rng(0)
-        picks = {int(_select_best(probs, rng)) for _ in range(50)}
-        assert picks == {0, 2}
+        assert f[_select_best(f, np.random.default_rng(seed))] == f.min()
 
 
 class TestSeekingStep:
@@ -359,12 +360,21 @@ class TestEngineMatchesSingleAgentSteps:
         return pos[0, 0], vel[0, 0]
 
     def test_seeking(self, wuhan):
+        self._check_seeking(wuhan, seed=11)
+
+    @pytest.mark.parametrize("seed", [12, 13, 14])
+    @pytest.mark.parametrize("overrides", [{}, dict(spc=False), dict(cdc=1)],
+                             ids=["default", "no-spc", "cdc1"])
+    def test_seeking_over_seeds(self, wuhan, seed, overrides):
+        self._check_seeking(wuhan, seed, **overrides)
+
+    def _check_seeking(self, wuhan, seed, **overrides):
         fitness = objective(wuhan, 0.5)
         bounds = default_bounds(wuhan)
-        cfg = SwarmConfig(n_agents=1, smp=6, iter_max=1, mr=0.2, seed=11)
+        cfg = SwarmConfig(n_agents=1, smp=6, iter_max=1, mr=0.2, seed=seed, **overrides)
         run = adcso_minimize(fitness, bounds, cfg)
 
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(seed)
         pos, vel = self._init_draws(rng, bounds, cfg)
         f0 = float(fitness(pos))
         rng.random((1, 1))  # the engine's group-partition draw
@@ -421,6 +431,49 @@ class TestRepeatStats:
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):
             repeat_stats(sphere, SPHERE_BOUNDS, SwarmConfig(), repeats=0)
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the plan should be rejected before any swarm runs")
+
+
+class TestPlanLimits:
+    def test_default_plans_fit_at_the_run_limit(self):
+        optim.check_runs(optim.MAX_RUNS, SwarmConfig(iter_max=1000))
+        optim.check_runs(optim.MAX_RUNS, PsoConfig(iter_max=1000))
+        optim.check_runs(optim.MAX_RUNS // 6 * 3, SwarmConfig(), PsoConfig())
+        optim.check_runs(1, SwarmConfig(n_agents=optim.MAX_CANDIDATES // 30))
+
+    @pytest.mark.parametrize("runs,cfgs,what", [
+        (optim.MAX_RUNS // 2 + 1, (SwarmConfig(), PsoConfig()), "seeded swarm runs"),
+        (optim.MAX_RUNS, (PsoConfig(n_particles=41),), "agents"),
+        (1, (SwarmConfig(n_agents=optim.MAX_AGENTS + 1, smp=1),), "agents"),
+        (optim.MAX_RUNS, (SwarmConfig(smp=31),), "candidates"),
+        (1, (SwarmConfig(smp=optim.MAX_CANDIDATES // 40 + 1),), "candidates"),
+        (optim.MAX_RUNS, (SwarmConfig(iter_max=1001),), "trace entries"),
+        (1, (PsoConfig(iter_max=optim.MAX_TRACE),), "trace entries"),
+    ])
+    def test_over_a_limit_rejected(self, runs, cfgs, what):
+        with pytest.raises(ValueError, match=f"{what}; the limit is"):
+            optim.check_runs(runs, *cfgs)
+
+    @pytest.mark.parametrize("cfg", [
+        SwarmConfig(iter_max=10 ** 12), SwarmConfig(n_agents=10 ** 9),
+        SwarmConfig(smp=10 ** 9), PsoConfig(iter_max=10 ** 12),
+        PsoConfig(n_particles=10 ** 9),
+    ])
+    def test_every_entry_point_checks_the_config(self, wuhan, monkeypatch, cfg):
+        monkeypatch.setattr(optim, "_run", _no_run)
+        swarm = isinstance(cfg, SwarmConfig)
+        estimator, minimize = ("adcso", adcso_minimize) if swarm else ("pso", pso_minimize)
+        given = {"swarm_cfg" if swarm else "pso_cfg": cfg}
+        for call in (lambda: minimize(sphere, SPHERE_BOUNDS, cfg),
+                     lambda: repeat_stats(sphere, SPHERE_BOUNDS, cfg, 1),
+                     lambda: estimate(wuhan, 0.5, estimator, **given),
+                     lambda: order_search(wuhan, 0.5, estimator, 1, **given),
+                     lambda: run_benchmark(WUHAN, repeats=1, **given)):
+            with pytest.raises(ValueError, match="the limit is"):
+                call()
 
 
 class TestOrderSearch:
