@@ -6,7 +6,7 @@ a result, or in the order of the random draws, changes the hash.  The cases
 cover the three public entry points on both paper datasets and cat-swarm
 settings that take every seeking path: all dimensions mutated or only some,
 with and without the kept position, one candidate per agent, dimensions
-1 to 6, a box edge and an objective that is +inf on part of the box.  The
+1 to 6, an empty tracing or seeking group, a box edge and an objective that is +inf on part of the box.  The
 same objective walled by NaN or -inf must give the +inf run bit for bit.
 
 The hashes depend on the platform's floating-point library.  To see the
@@ -98,6 +98,11 @@ SPHERE_CASES = {
     "dim2-smp5": (sphere, 2, dict(smp=5)),
     "dim2-smp6": (sphere, 2, dict(smp=6)),
     "dim2-srd0": (sphere, 2, dict(srd=0.0)),
+    # round(mr * 10) is 0 (no tracing group) or 10 (no seeking group)
+    "dim2-no-tracing": (sphere, 2, dict(mr=0.04)),
+    "dim2-cdc1-no-tracing": (sphere, 2, dict(cdc=1, mr=0.04)),
+    "dim2-smp1-no-tracing": (sphere, 2, dict(smp=1, mr=0.04)),
+    "dim2-no-seeking": (sphere, 2, dict(mr=0.96)),
     "dim3-cdc1": (sphere, 3, dict(cdc=1)),
     "dim3-cdc2": (sphere, 3, dict()),
     "dim3-cdc3": (sphere, 3, dict(cdc=3)),
@@ -144,10 +149,14 @@ GOLDEN_SPHERE = {
     "dim1": "6df6b356f8a57f61c26a2cbd5a7fa8ae277267195f6d916e8ef47bea686be018",
     "dim2-cdc1": "3e95aa9f5cabdbb3bebcf770403fcae03baf89e3486f620ec5da4e06d8a5f8e1",
     "dim2-cdc1-no-spc": "3be4de47581e548e8b7fbdf3f65fcc0e8a7ab8c4330af32975816fd4ee32b24a",
+    "dim2-cdc1-no-tracing": "a37e81db93e5b3f6dadb548ef7fd3ea27e4d393d6243e655b7dfe8370243250c",
     "dim2-default": "bd263c224883890010979db9e52a47e5e7ce9b5a5e64c8fd42ad88d2895accdf",
+    "dim2-no-seeking": "2f78436db79457012a9df72fad3d3a3d33f917667bc910b0ed2c95226fd58c79",
     "dim2-no-spc": "473c1d3713f3384b949b419fcf2db39757510ca220ab5e844a38d814d5f1ba30",
+    "dim2-no-tracing": "f83cba14ce8c1442d709420cda9423f1a4879c1735d29e916b87765ee6df1e2c",
     "dim2-smp1": "ce5d8c868cb8e7ab8ff5505d8b1fb4635ca34468dd27781d09128c2855c43dba",
     "dim2-smp1-no-spc": "ab9e8ae9feff6239fa6ea997b4e38c385035fb31fdd7739ec762981d04b0cdc6",
+    "dim2-smp1-no-tracing": "eb6a152d4a7c7ec2a6af594d3aed6ae4455220abdf9b701283229bfea271f166",
     "dim2-smp5": "e07a0b712039335b7a5618fa4c0b73c5a80c1e7a314da5b73e1627d168e18ada",
     "dim2-smp6": "800a2e9f318f72224ff88816a194fb7e4c85bedc9688f87b89e9e1dc371dbc19",
     "dim2-srd0": "38e9774ad9039cf45b80b1c9d3954d41130dbe28c0a6e838a9e3065ad9e73a1e",
