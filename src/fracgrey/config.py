@@ -86,12 +86,20 @@ def _apply(raw: dict, table: dict, path) -> dict:
     return fields
 
 
-def swarm_config_from_file(path, seed: int = 0) -> SwarmConfig:
-    fields = _apply(read_key_values(path), SWARM_KEYS, path)
+def _build(cls, table: dict, path, seed: int):
+    """``cls`` from the file's settings; an invalid one is reported by its key."""
+    fields = _apply(read_key_values(path), table, path)
     try:
-        cfg = SwarmConfig(seed=seed, **fields)
+        return cls(seed=seed, **fields)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        # The config classes name the offending field first.
+        field, _, rest = str(exc).partition(" ")
+        key = next((k for k, (name, _) in table.items() if name == field), field)
+        raise UsageError(f"{path}: {key} {rest}") from exc
+
+
+def swarm_config_from_file(path, seed: int = 0) -> SwarmConfig:
+    cfg = _build(SwarmConfig, SWARM_KEYS, path, seed)
     if cfg.cdc > SEARCH_DIM:
         raise UsageError(
             f"{path}: CDC = {cfg.cdc} exceeds the search dimension {SEARCH_DIM}"
@@ -100,8 +108,4 @@ def swarm_config_from_file(path, seed: int = 0) -> SwarmConfig:
 
 
 def pso_config_from_file(path, seed: int = 0) -> PsoConfig:
-    fields = _apply(read_key_values(path), PSO_KEYS, path)
-    try:
-        return PsoConfig(seed=seed, **fields)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    return _build(PsoConfig, PSO_KEYS, path, seed)

@@ -17,9 +17,11 @@ non-increasing), and are fully deterministic given their seed.  One driver,
 trace; each swarm adds only its per-iteration moves, on whole populations of
 stacked layers.  At the default cdc = dim, a seeking agent's copies move
 every coordinate by -s or +s, so they repeat a few points (on the (a, b)
-box, 4 plus the kept position against 30 candidates).  The cat-swarm engine
-scores each distinct seeking candidate once, with the same draws and results
-as scoring every copy.
+box, 4 new points against 29 copies).  The cat-swarm engine scores each
+distinct seeking candidate once and does not score an agent's kept position
+again, since its fitness is known; an iteration scores all its new points,
+seeking candidates and tracing moves, in one objective call.  The draws and
+results are those of scoring every candidate one by one.
 
 The objective is the in-sample percentage error of the model values from
 ``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses
@@ -31,6 +33,7 @@ random draws all happen in one deterministic serial order, so results never
 depend on how evaluations are scheduled.  Distinct runs share no state.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -187,8 +190,10 @@ class RunTrace:
     initialization; entry t is the best-so-far after iteration t.  The array
     is non-increasing.  ``evaluations`` is the algorithm's candidate budget
     (the initial population, then every seeking copy and tracing move),
-    worked out from the config; it does not count objective calls: the
-    cat-swarm engine scores repeated seeking copies once.
+    worked out from the config; it does not count the points scored: the
+    cat-swarm engine scores repeated seeking copies once, does not score a
+    seeking agent's kept position again and makes one objective call per
+    iteration.
     """
 
     best_fitness_per_iter: np.ndarray
@@ -227,7 +232,8 @@ class _MapeEvaluator:
     Evaluates points of shape (layers, batch, 2) to fitness (layers, batch).
     The model values come from :func:`greymodel.restored_steps`, the same
     recurrence ``fit_series`` uses, and the error is accumulated one
-    observation at a time.  Layers are scored in blocks of about
+    observation at a time.  Candidates are scored in blocks of whole layers,
+    or of part of one layer's batch when that batch is larger, of at most
     ``BLOCK_CANDIDATES`` candidates, so every work array has the shape of one
     block.  Non-finite errors are reported as +inf.
     """
@@ -252,14 +258,14 @@ class _MapeEvaluator:
                 f"expected points of shape ({self._layers}, batch, 2), got {pts.shape}"
             )
         layers, batch = pts.shape[:2]
-        blocks = max(1, math.ceil(layers * batch / BLOCK_CANDIDATES))
-        rows = math.ceil(layers / blocks)
+        cols = max(1, min(batch, BLOCK_CANDIDATES))
+        rows = max(1, BLOCK_CANDIDATES // cols)
         fitness = np.zeros((layers, batch))
         with np.errstate(all="ignore"):
-            for lo in range(0, layers, rows):
-                block = slice(lo, lo + rows)
-                total = fitness[block]
-                steps = restored_steps(self._x[0], pts[block, :, 0], pts[block, :, 1],
+            for lo, left in itertools.product(range(0, layers, rows), range(0, batch, cols)):
+                block, part = slice(lo, lo + rows), slice(left, left + cols)
+                total = fitness[block, part]
+                steps = restored_steps(self._x[0], pts[block, part, 0], pts[block, part, 1],
                                        self._d[:, block])
                 next(steps)  # x(0) = x1 by construction and is not scored
                 for xhat, x_k, inv_k in zip(steps, self._x[1:], self._inv_x[1:]):
@@ -311,10 +317,14 @@ def _mutation_mask(rng, shape, cdc, dim):
     return ranks.argsort(axis=-1).argsort(axis=-1) < cdc
 
 
-def _select_best(fitness, rng) -> np.ndarray:
-    """Index of the lowest fitness per row, ties broken uniformly."""
+def _select_best(fitness, ties) -> np.ndarray:
+    """Index of the lowest fitness per row, ties broken uniformly.
+
+    ``ties`` holds uniform draws of the shape of ``fitness``: among the tied
+    entries of a row, the one with the largest draw wins.
+    """
     tied = fitness == fitness.min(axis=-1, keepdims=True)
-    return np.argmax(tied * rng.random(fitness.shape), axis=-1)
+    return np.argmax(tied * ties, axis=-1)
 
 
 def _as_batch(objective_fn, dim):
@@ -327,15 +337,13 @@ def _as_batch(objective_fn, dim):
     return batched
 
 
-def _seeking_options(dim, offset):
-    """Option each coordinate takes in every entry of a seeking agent's table.
+def _seeking_options(dim):
+    """Which coordinates of each seeking table entry move to x + s.
 
-    Options are 0 (keep x), 1 (clip(x - s)) and 2 (clip(x + s)).  Entry
-    offset + j moves coordinate d to x + s when bit d of j is set and to
-    x - s otherwise; with offset 1, entry 0 is the kept position.
+    Entry j moves coordinate d to clip(x + s) when bit d of j is set and to
+    clip(x - s) otherwise.
     """
-    plus = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
-    return np.vstack([np.zeros((offset, dim), dtype=plus.dtype), 1 + plus])
+    return np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
 
 
 def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers, rng):
@@ -382,14 +390,21 @@ def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers, rng):
 def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     """Cat-swarm iterations for :func:`_run`; yields the agents' (fitness, positions).
 
+    An iteration scores its new points in one objective call: the seeking
+    agents' moved candidates and the tracing agents' new positions.  Its
+    draws come in a fixed order: the group split, the seeking mask (cdc <
+    dim) and coins, the seeking tie-breaks, then the tracing draw.
+
     Seeking scores each distinct candidate once.  When every coordinate
     moves (cdc == dim, the default), a copy moves each coordinate x to
     clip(x - s) or clip(x + s), so an agent's smp - 1 copies (smp without
-    spc) take at most 2**dim points.  The moves score that table, kept
-    position included, and give the selection rule each copy's fitness
-    looked up from it, so the draws, the pick and every result are those of
-    scoring all copies.  When cdc < dim, or when the table would not be
-    smaller than the copies, the table is the copies themselves.
+    spc) take at most 2**dim points, and its table holds those points.  When
+    cdc < dim, or when that table would not be smaller than the copies, the
+    table is the copies themselves.  The kept position (spc) is not scored
+    again: its fitness is the agent's current one, which the objective gave
+    at that position.  The selection rule gets each copy's fitness looked up
+    from the table, so the draws, the pick and every result are those of
+    scoring all copies one by one.
     """
     dim = bounds.dim
     if cfg.cdc > dim:
@@ -398,7 +413,8 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     n_tracing = int(round(cfg.mr * n))
     n_seeking = n - n_tracing
     per_agent = cfg.smp  # candidates per seeking agent, the kept position included
-    n_copies = cfg.smp - 1 if cfg.spc else cfg.smp
+    offset = int(cfg.spc)  # candidate 0 of an agent is its kept position
+    n_copies = per_agent - offset
     pos, vel, fit, best_pos = yield n, n_seeking * per_agent + n_tracing
 
     lower, upper, width = bounds.lower, bounds.upper, bounds.width
@@ -407,25 +423,32 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     n_layers = len(pos)
     rows = np.arange(n_layers)
 
-    # Each seeking agent scores ``size`` table entries.  ``codes`` holds the
-    # flat table index of each of its per_agent candidates, the kept position
-    # (entry 0 of its table) first when spc is on.
-    offset = int(cfg.spc)
-    tabled = cfg.cdc == dim and 2 ** dim + offset < per_agent
-    size = 2 ** dim + offset if tabled else per_agent
-    copy_shape = (n_layers, n_seeking, n_copies, dim)
-    table = np.empty((n_layers, n_seeking, size, dim))
-    first = np.arange(0, n_layers * n_seeking * size, size).reshape(n_layers, n_seeking, 1)
+    # One row of ``points`` per layer: the kept positions, each seeking
+    # agent's ``moved`` table entries, then the tracing positions.  The
+    # objective scores all but the kept positions, in one call; ``fitness``
+    # holds the value of every point.  ``codes`` holds the flat index into
+    # ``fitness`` (and the points) of each of a seeking agent's per_agent
+    # candidates, the kept position first when spc is on.
+    tabled = cfg.cdc == dim and 2 ** dim < n_copies
+    moved = 2 ** dim if tabled else n_copies
+    kept = n_seeking * offset
+    scored = kept + n_seeking * moved
+    points = np.empty((n_layers, scored + n_tracing, dim))
+    fitness = np.empty(points.shape[:2])
+    table = points[:, kept:scored].reshape(n_layers, n_seeking, moved, dim)
+    tracing = points[:, scored:]
+    layer_first = rows[:, None, None] * points.shape[1]
     codes = np.empty((n_layers, n_seeking, per_agent), dtype=np.intp)
-    codes[...] = first if tabled else first + np.arange(per_agent)
+    codes[:, :, :offset] = layer_first + np.arange(n_seeking)[:, None]
+    copy_codes = codes[:, :, offset:]
+    copy_first = layer_first + kept + np.arange(n_seeking)[:, None] * moved
     if tabled:
-        options = np.empty((n_layers, n_seeking, 3, dim))  # kept, minus, plus
-        take = (_seeking_options(dim, offset) * dim + np.arange(dim)).ravel()
-        copy_codes = codes[:, :, per_agent - n_copies:]
-        copy_first = first + offset
+        options = np.empty((n_layers, n_seeking, 2, dim))  # minus, plus
+        take = (_seeking_options(dim) * dim + np.arange(dim)).ravel()
     else:
-        copies = table[:, :, per_agent - n_copies:]
-    coins = np.empty(copy_shape)
+        copy_codes[...] = copy_first + np.arange(moved)
+    coins = np.empty((n_layers, n_seeking, n_copies, dim))
+    ties = np.empty(codes.shape)
     kick = cfg.srd * width * ZERO_KICK
     agents = np.arange(n_layers * n_seeking)
 
@@ -436,36 +459,32 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
 
         if n_seeking:
             spos = pos[seekers]
-            mask = _mutation_mask(rng, copy_shape, cfg.cdc, dim) if cfg.cdc < dim else None
+            mask = _mutation_mask(rng, coins.shape, cfg.cdc, dim) if cfg.cdc < dim else None
             rng.random(out=coins)
             step = np.abs(spos)
             small = step < ZERO_GUARD * width
             step *= cfg.srd
             np.copyto(step, kick, where=small)
             if tabled:
-                np.copyto(options[:, :, 0], spos)
-                np.subtract(spos, step, out=options[:, :, 1])
-                np.add(spos, step, out=options[:, :, 2])
-                np.clip(options[:, :, 1:], lower, upper, out=options[:, :, 1:])
-                np.take(options.reshape(n_layers, n_seeking, 3 * dim), take, axis=2,
-                        out=table.reshape(n_layers, n_seeking, size * dim))
+                np.subtract(spos, step, out=options[:, :, 0])
+                np.add(spos, step, out=options[:, :, 1])
+                np.clip(options, lower, upper, out=options)
+                np.take(options.reshape(n_layers, n_seeking, 2 * dim), take, axis=2,
+                        out=table.reshape(n_layers, n_seeking, moved * dim))
                 plus = coins >= 0.5
                 np.add(copy_first, plus[..., 0], out=copy_codes)
                 for d in range(1, dim):
                     copy_codes += plus[..., d] << d
             else:
-                move = step[:, :, None, :] * np.where(coins < 0.5, -1.0, 1.0)
+                np.multiply(step[:, :, None, :], np.where(coins < 0.5, -1.0, 1.0), out=table)
                 if mask is not None:
-                    move *= mask
-                np.add(spos[:, :, None, :], move, out=copies)
-                np.clip(copies, lower, upper, out=copies)
-                if cfg.spc:
-                    table[:, :, 0] = spos
-            table_fit = batch_obj(table.reshape(n_layers, n_seeking * size, dim)).reshape(-1)
-            pick = _select_best(table_fit[codes], rng)
-            chosen = codes.reshape(-1, per_agent)[agents, pick.ravel()]
-            pos[seekers] = table.reshape(-1, dim)[chosen].reshape(n_layers, n_seeking, dim)
-            fit[seekers] = table_fit[chosen].reshape(n_layers, n_seeking)
+                    table *= mask
+                table += spos[:, :, None, :]
+                np.clip(table, lower, upper, out=table)
+            rng.random(out=ties)
+            if kept:
+                points[:, :kept] = spos
+                fitness[:, :kept] = fit[seekers]
 
         if n_tracing:
             tpos = pos[tracers]
@@ -473,11 +492,21 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
             draw = rng.random((n_layers, n_tracing, dim))
             tvel = w_d * tvel + draw * c_d * (best_pos[:, None, :] - tpos)
             np.clip(tvel, -vmax, vmax, out=tvel)
-            tpos = tpos + tvel
-            np.clip(tpos, lower, upper, out=tpos)
-            pos[tracers] = tpos
+            np.add(tpos, tvel, out=tracing)
+            np.clip(tracing, lower, upper, out=tracing)
             vel[tracers] = tvel
-            fit[tracers] = batch_obj(tpos)
+
+        if points.shape[1] > kept:
+            fitness[:, kept:] = batch_obj(points[:, kept:])
+
+        if n_seeking:
+            pick = _select_best(fitness.reshape(-1)[codes], ties)
+            chosen = codes.reshape(-1, per_agent)[agents, pick.ravel()]
+            pos[seekers] = points.reshape(-1, dim)[chosen].reshape(n_layers, n_seeking, dim)
+            fit[seekers] = fitness.reshape(-1)[chosen].reshape(n_layers, n_seeking)
+        if n_tracing:
+            pos[tracers] = tracing
+            fit[tracers] = fitness[:, scored:]
 
         yield fit, pos
 

@@ -513,6 +513,23 @@ def test_cli_config_non_finite_setting_rejected(capsys, monkeypatch, tmp_path,
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("estimator,setting,message", [
+    ("adcso", "c = nan", "c must be finite"),
+    ("adcso", "M = 0", "M must be at least 1"),
+    ("pso", "N = 0", "N must be at least 1"),
+])
+def test_cli_config_error_names_the_key(capsys, monkeypatch, tmp_path,
+                                        estimator, setting, message):
+    monkeypatch.setattr("fracgrey.cli.estimate", _no_search)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(setting + "\n")
+    code, out, err = run_cli(capsys, *FIT, estimator, "--dataset", "wuhan",
+                             "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("usage error:") and f"c.cfg: {message}" in err
+    assert out == ""
+
+
 def test_cli_config_unknown_key_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

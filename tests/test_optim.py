@@ -85,12 +85,16 @@ class TestConfigs:
 
 class TestSelectBest:
     @staticmethod
-    def _picks(fitness, draws=50):
-        rng = np.random.default_rng(0)
-        return {int(_select_best(np.array(fitness), rng)) for _ in range(draws)}
+    def _ties(fitness, seed=0):
+        return np.random.default_rng(seed).random(np.shape(fitness))
+
+    def _picks(self, fitness, draws=50):
+        f = np.array(fitness)
+        return {int(_select_best(f, self._ties(f, seed))) for seed in range(draws)}
 
     def test_documented_example(self):
-        assert _select_best(np.array([5.0, 3.0, 9.0]), np.random.default_rng(0)) == 1
+        f = np.array([5.0, 3.0, 9.0])
+        assert _select_best(f, self._ties(f)) == 1
 
     def test_infinite_never_picked_beside_finite(self):
         assert self._picks([np.inf, 2.0, 4.0]) == {1}
@@ -107,14 +111,18 @@ class TestSelectBest:
 
     def test_rows_select_independently(self):
         rows = np.array([[5.0, 3.0, 9.0], [np.inf, 1.0, 0.5]])
-        np.testing.assert_array_equal(_select_best(rows, np.random.default_rng(0)), [1, 2])
+        np.testing.assert_array_equal(_select_best(rows, self._ties(rows)), [1, 2])
 
     @given(st.lists(st.one_of(st.floats(0.0, 100.0), st.just(np.inf)),
                     min_size=1, max_size=10),
            st.integers(0, 2 ** 32 - 1))
     def test_pick_holds_the_row_minimum(self, fits, seed):
         f = np.array(fits)
-        assert f[_select_best(f, np.random.default_rng(seed))] == f.min()
+        assert f[_select_best(f, self._ties(f, seed))] == f.min()
+
+    def test_largest_tied_draw_wins(self):
+        f = np.array([3.0, 1.0, 1.0, 1.0])
+        assert _select_best(f, np.array([0.9, 0.2, 0.7, 0.5])) == 2
 
 
 class TestSeekingStep:
@@ -220,10 +228,11 @@ class TestObjective:
         value = objective(wuhan, 0.25)(np.array([params.a, params.b]))
         assert value == pytest.approx(1.57, abs=0.3)
 
-    @pytest.mark.parametrize("block", [20, 32768])
+    @pytest.mark.parametrize("block", [4, 20, 32768])
     def test_stacked_layers_match_single_order_objective(self, zhejiang, monkeypatch,
                                                          block):
-        # block = 20 candidates splits the 4 x 9 stack into blocks of 2 layers
+        # block = 20 candidates splits the 4 x 9 stack into blocks of 2 layers;
+        # block = 4 splits each layer's batch of 9 into 4 + 4 + 1
         monkeypatch.setattr(optim, "BLOCK_CANDIDATES", block)
         orders = [0.5, 0.21, 1.0, 0.5]
         rng = np.random.default_rng(5)
@@ -307,7 +316,8 @@ class TestMinimizers:
         trace = adcso_minimize(counting, Bounds([-5.0] * dim, [5.0] * dim), cfg)
         n_tracing = round(cfg.mr * cfg.n_agents)
         n_seeking = cfg.n_agents - n_tracing
-        assert sizes == [cfg.n_agents] + [n_seeking * scored, n_tracing] * cfg.iter_max
+        # One call per iteration; the kept position (spc) is not scored again.
+        assert sizes == [cfg.n_agents] + [n_seeking * (scored - spc) + n_tracing] * cfg.iter_max
         # The evaluation count stays the algorithm's budget: one per copy.
         assert trace.evaluations == cfg.n_agents + cfg.iter_max * (n_seeking * smp + n_tracing)
 
