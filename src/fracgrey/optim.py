@@ -447,7 +447,7 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
         take = (_seeking_options(dim) * dim + np.arange(dim)).ravel()
     else:
         copy_codes[...] = copy_first + np.arange(moved)
-    coins = np.empty((n_layers, n_seeking, n_copies, dim))
+    copy_shape = (n_layers, n_seeking, n_copies, dim)
     ties = np.empty(codes.shape)
     kick = cfg.srd * width * ZERO_KICK
     agents = np.arange(n_layers * n_seeking)
@@ -459,8 +459,8 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
 
         if n_seeking:
             spos = pos[seekers]
-            mask = _mutation_mask(rng, coins.shape, cfg.cdc, dim) if cfg.cdc < dim else None
-            rng.random(out=coins)
+            mask = _mutation_mask(rng, copy_shape, cfg.cdc, dim) if cfg.cdc < dim else None
+            plus = rng.random(copy_shape) >= 0.5  # each copy's coins; the draws are not kept
             step = np.abs(spos)
             small = step < ZERO_GUARD * width
             step *= cfg.srd
@@ -471,12 +471,11 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
                 np.clip(options, lower, upper, out=options)
                 np.take(options.reshape(n_layers, n_seeking, 2 * dim), take, axis=2,
                         out=table.reshape(n_layers, n_seeking, moved * dim))
-                plus = coins >= 0.5
                 np.add(copy_first, plus[..., 0], out=copy_codes)
                 for d in range(1, dim):
                     copy_codes += plus[..., d] << d
             else:
-                np.multiply(step[:, :, None, :], np.where(coins < 0.5, -1.0, 1.0), out=table)
+                np.multiply(step[:, :, None, :], np.where(plus, 1.0, -1.0), out=table)
                 if mask is not None:
                     table *= mask
                 table += spos[:, :, None, :]

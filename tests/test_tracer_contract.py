@@ -52,7 +52,7 @@ PLANS = {
 
 
 @pytest.mark.parametrize("workload", sorted(PLANS))
-def test_traced_workload_plan_leaves_no_metric_null(tmp_path, workload):
+def test_traced_cli_plans_leave_no_metric_null(tmp_path, workload):
     csv = tmp_path / "series.csv"
     csv.write_text("label,value\n" + "".join(f"{k},{100.0 * 1.05 ** k + k % 3}\n"
                                              for k in range(1, 21)), encoding="utf-8")
