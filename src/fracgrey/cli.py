@@ -1,7 +1,10 @@
 """Command-line interface: fit, order-search, benchmark, forecast.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 singular least-squares
-design.  Runs with an explicit --seed are byte-reproducible.
+design.  A usage error is a bad option or config file, or any argument the
+library rejects: the commands pass seeds, orders, grid steps, repeats and
+horizons to the library, whose checks run before any search.  Runs with an
+explicit --seed are byte-reproducible.
 """
 
 import argparse
@@ -9,27 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-from .benchmark import (
-    BENCHMARK_ORDERS,
-    render_table,
-    run_benchmark,
-    write_results_json,
-    write_traces,
-)
+from .benchmark import render_table, run_benchmark, write_results_json, write_traces
 from .config import pso_config_from_file, swarm_config_from_file
 from .datasets import get_dataset, load_csv
 from .errors import DataError, SingularDesignError, UsageError
-from .fracops import validate_order
-from .greymodel import MAX_HORIZON, Series, fit_series, forecast
-from .optim import (
-    MAX_RUNS,
-    PsoConfig,
-    SwarmConfig,
-    check_runs,
-    estimate,
-    order_grid,
-    order_search,
-)
+from .greymodel import MAX_HORIZON, Series, check_horizon, fit_series, forecast
+from .optim import MAX_RUNS, PsoConfig, SwarmConfig, estimate, order_search
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,19 +99,9 @@ def _series_from(args) -> tuple[str, Series]:
     raise UsageError("one of --dataset or --csv is required")
 
 
-def _usage(check, *args):
-    """``check(*args)``, with its ValueError reported as a usage error."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _configs_from(args):
     """Swarm and particle configs for this run, honoring --config and --seed."""
     seed = args.seed
-    if seed < 0:
-        raise UsageError("seed must be non-negative")
     config_path = getattr(args, "config", None)
     if config_path and args.estimator == "lsm":
         raise UsageError("--config only applies to the swarm estimators")
@@ -137,25 +115,10 @@ def _configs_from(args):
     return swarm, pso
 
 
-def _swarms_of(args, swarm, pso) -> tuple:
-    """The configs of the swarms that ``args.estimator`` runs."""
-    return {"adcso": (swarm,), "pso": (pso,)}.get(args.estimator, ())
-
-
-def _check_repeats(repeats: int, runs_per_repeat: int, *cfgs) -> int:
-    """``repeats``, checked before any search against the plan limits."""
-    if repeats < 1:
-        raise UsageError("repeats must be at least 1")
-    _usage(check_runs, runs_per_repeat * repeats, *cfgs)
-    return repeats
-
-
 def cmd_fit(args) -> int:
     name, series = _series_from(args)
-    r = _usage(validate_order, args.r)
     swarm, pso = _configs_from(args)
-    _usage(check_runs, 1, *_swarms_of(args, swarm, pso))
-    params, trace = estimate(series, r, estimator=args.estimator,
+    params, trace = estimate(series, args.r, estimator=args.estimator,
                              swarm_cfg=swarm, pso_cfg=pso)
     report = fit_series(series, params)
     print(f"dataset: {name} ({len(series)} points, "
@@ -196,13 +159,11 @@ def cmd_fit(args) -> int:
 
 
 def _search(args):
-    """Input name, series and order search of ``args``; the plan is checked first."""
+    """Input name, series and order search of ``args``."""
     name, series = _series_from(args)
-    grid = _usage(order_grid, args.step)
     swarm, pso = _configs_from(args)
-    repeats = _check_repeats(args.repeats, len(grid), *_swarms_of(args, swarm, pso))
     result = order_search(series, grid_step=args.step, estimator=args.estimator,
-                          repeats=repeats, swarm_cfg=swarm, pso_cfg=pso)
+                          repeats=args.repeats, swarm_cfg=swarm, pso_cfg=pso)
     return name, series, result
 
 
@@ -226,9 +187,8 @@ def cmd_benchmark(args) -> int:
     if not args.dataset:
         raise UsageError("--dataset is required for benchmark")
     swarm, pso = _configs_from(args)
-    repeats = _check_repeats(args.repeats, len(BENCHMARK_ORDERS), swarm, pso)
     dataset = get_dataset(args.dataset)
-    result = run_benchmark(dataset, repeats=repeats, seed=args.seed,
+    result = run_benchmark(dataset, repeats=args.repeats, seed=args.seed,
                            swarm_cfg=swarm, pso_cfg=pso)
     table = render_table(result)
     print(table)
@@ -245,8 +205,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_forecast(args) -> int:
     horizon = args.horizon
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise UsageError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
+    check_horizon(horizon)  # before the search, which may take long
     name, series, result = _search(args)
     predictions = forecast(series, result.params, horizon)
     print(f"# {name}: r={result.params.r!r} a={result.params.a!r} "
@@ -267,12 +226,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    # A ValueError is a library check rejecting an argument; DataError, a
+    # subclass, is caught above.
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except SingularDesignError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

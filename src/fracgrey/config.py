@@ -56,9 +56,12 @@ def _parse_bool(raw: str) -> bool:
 def read_key_values(path) -> dict:
     """Read ``key = value`` lines into an ordered dict of raw strings."""
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

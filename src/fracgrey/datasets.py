@@ -58,8 +58,9 @@ def get_dataset(name: str) -> Dataset:
 def load_csv(path) -> Series:
     """Read a two-column ``label,value`` CSV (header required) into a Series.
 
-    Labels must be integers, strictly increasing and equally spaced; values
-    must be positive numbers.  Errors name the offending line.
+    The file must be UTF-8 text.  Labels must be integers, strictly
+    increasing and equally spaced; values must be positive numbers.  Errors
+    name the file and, where there is one, the offending line.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -68,31 +69,42 @@ def load_csv(path) -> Series:
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a label,value header") from None
-        if [c.strip().lower() for c in header] != ["label", "value"]:
+            labels, values = _read_rows(reader, path)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return Series(labels=np.array(labels), values=np.array(values))
+
+
+def _read_rows(reader, path) -> tuple[list, list]:
+    """The labels and values of a CSV reader's rows, checked line by line."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty, expected a label,value header") from None
+    if [c.strip().lower() for c in header] != ["label", "value"]:
+        raise DataError(
+            f"{path}: line 1: expected header 'label,value', got {','.join(header)!r}"
+        )
+    labels, values = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+        try:
+            labels.append(int(row[0]))
+        except ValueError:
             raise DataError(
-                f"{path}: line 1: expected header 'label,value', got {','.join(header)!r}"
-            )
-        labels, values = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: label {row[0]!r} is not an integer"
-                ) from None
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: value {row[1]!r} is not a number"
-                ) from None
+                f"{path}: line {lineno}: label {row[0]!r} is not an integer"
+            ) from None
+        try:
+            values.append(float(row[1]))
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: value {row[1]!r} is not a number"
+            ) from None
     if not labels:
         raise DataError(f"{path}: no data rows")
-    return Series(labels=np.array(labels), values=np.array(values))
+    return labels, values

@@ -34,38 +34,35 @@ def validate_order(r) -> float:
     return r
 
 
+def _binomial_weights(s: float, n: int) -> np.ndarray:
+    """Weights w_0..w_{n-1} of (1 - t)^s: w_0 = 1, w_j = -w_{j-1} (s - j + 1) / j."""
+    if n < 1:
+        raise ValueError("need at least one coefficient (n >= 1)")
+    w = np.empty(n)
+    w[0] = 1.0
+    for j in range(1, n):
+        w[j] = -w[j - 1] * (s - j + 1) / j
+    return w
+
+
 def ago_coeffs(r, n: int) -> np.ndarray:
     """Accumulation weights c_0..c_{n-1} for order ``r``.
 
-    c_j = Gamma(r + j) / (Gamma(j + 1) Gamma(r)), computed by the recurrence
-    c_0 = 1, c_j = c_{j-1} (r + j - 1) / j.  For r = 1 every weight is
-    exactly 1.
+    c_j = Gamma(r + j) / (Gamma(j + 1) Gamma(r)), the weights of
+    (1 - t)^(-r): c_0 = 1, c_j = c_{j-1} (r + j - 1) / j.  For r = 1 every
+    weight is exactly 1.
     """
-    r = validate_order(r)
-    if n < 1:
-        raise ValueError("need at least one coefficient (n >= 1)")
-    c = np.empty(n)
-    c[0] = 1.0
-    for j in range(1, n):
-        c[j] = c[j - 1] * (r + j - 1) / j
-    return c
+    return _binomial_weights(-validate_order(r), n)
 
 
 def iago_coeffs(r, n: int) -> np.ndarray:
     """Reduction weights d_0..d_{n-1} for order ``r``.
 
-    d_i = (-1)^i Gamma(r + 1) / (Gamma(i + 1) Gamma(r - i + 1)), computed by
-    the recurrence d_0 = 1, d_i = -d_{i-1} (r - i + 1) / i.  At integer r the
+    d_i = (-1)^i Gamma(r + 1) / (Gamma(i + 1) Gamma(r - i + 1)), the weights
+    of (1 - t)^r: d_0 = 1, d_i = -d_{i-1} (r - i + 1) / i.  At integer r the
     weights beyond index r are exactly zero (binomial cutoff).
     """
-    r = validate_order(r)
-    if n < 1:
-        raise ValueError("need at least one coefficient (n >= 1)")
-    d = np.empty(n)
-    d[0] = 1.0
-    for i in range(1, n):
-        d[i] = -d[i - 1] * (r - i + 1) / i
-    return d
+    return _binomial_weights(validate_order(r), n)
 
 
 def frac_accumulate(x, r) -> np.ndarray:

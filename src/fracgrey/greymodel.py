@@ -120,6 +120,12 @@ def check_fit_length(series: Series) -> None:
         )
 
 
+def check_horizon(horizon: int) -> None:
+    """Reject a forecast horizon outside 1 .. ``MAX_HORIZON`` periods."""
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
+
+
 def build_design(series: Series, r) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix and target for the linear parameter estimation.
 
@@ -220,9 +226,8 @@ def fit_series(series: Series, params: GreyParams) -> FitReport:
 def forecast(series: Series, params: GreyParams, horizon: int) -> np.ndarray:
     """Original-scale predictions for the ``horizon`` periods after the sample.
 
-    ``horizon`` lies in 1 .. ``MAX_HORIZON``.
+    ``horizon`` must pass :func:`check_horizon`.
     """
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
+    check_horizon(horizon)
     extended = restored_fit(series, params, horizon=horizon)
     return extended[len(series):]

@@ -310,11 +310,17 @@ def _adaptive_coefficients(w0, c0, dim):
 
 
 def _mutation_mask(rng, shape, cdc, dim):
-    """Choose ``cdc`` dimensions to mutate per candidate (all, if cdc == dim)."""
+    """Choose ``cdc`` dimensions to mutate per candidate (all, if cdc == dim).
+
+    Each candidate draws one uniform rank per dimension; the ``cdc``
+    dimensions of lowest rank mutate.
+    """
     if cdc >= dim:
         return np.ones(shape, dtype=bool)
-    ranks = rng.random(shape)
-    return ranks.argsort(axis=-1).argsort(axis=-1) < cdc
+    lowest = rng.random(shape).argsort(axis=-1)[..., :cdc]
+    mask = np.zeros(shape, dtype=bool)
+    np.put_along_axis(mask, lowest, True, axis=-1)
+    return mask
 
 
 def _select_best(fitness, ties) -> np.ndarray:

@@ -437,6 +437,13 @@ def _no_search(*args, **kwargs):
     raise AssertionError("the plan should be rejected before any search runs")
 
 
+def _forbid_search(monkeypatch):
+    """Make every swarm run and every least-squares fit fail, wherever it starts."""
+    for target in ("fracgrey.optim._run", "fracgrey.optim.lsm_fit",
+                   "fracgrey.benchmark.lsm_fit"):
+        monkeypatch.setattr(target, _no_search)
+
+
 @pytest.mark.parametrize("horizon", [str(MAX_HORIZON + 1), "1000000000000"])
 def test_cli_forecast_horizon_limit(capsys, monkeypatch, horizon):
     monkeypatch.setattr("fracgrey.cli.order_search", _no_search)
@@ -464,12 +471,49 @@ def test_cli_forecast_at_horizon_limit(capsys):
     ("benchmark", "--repeats", str(MAX_RUNS // 6 + 1)),
 ])
 def test_cli_plan_over_run_limit_rejected(capsys, monkeypatch, argv):
-    monkeypatch.setattr("fracgrey.cli.order_search", _no_search)
-    monkeypatch.setattr("fracgrey.cli.run_benchmark", _no_search)
+    _forbid_search(monkeypatch)
     code, out, err = run_cli(capsys, *argv, "--dataset", "wuhan")
     assert code == 1
     assert err.startswith("usage error:") and f"limit is {MAX_RUNS}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("fit", "--r", "0.5", "--seed", "-1"), "seed must be non-negative"),
+    (("order-search", "--seed", "-1"), "seed must be non-negative"),
+    (("benchmark", "--seed", "-1"), "seed must be non-negative"),
+    (("order-search", "--repeats", "0"), "repeats must be at least 1"),
+    (("forecast", "--repeats", "0"), "repeats must be at least 1"),
+    (("benchmark", "--repeats", "0"), "repeats must be at least 1"),
+    (("order-search", "--step", "0.7"), "grid step must lie in (0, 0.5], got 0.7"),
+    (("forecast", "--step", "1e-9"),
+     "grid step 1e-09 gives 999999999 orders; the limit is 1000 (step >= 0.001)"),
+    (("fit", "--r", "0"), "fractional order must lie in (0, 2.0], got 0.0"),
+    (("fit", "--r", "nan", "--estimator", "adcso"), "fractional order must be finite, got nan"),
+    (("order-search", "--step", "0.001", "--repeats", "11", "--estimator", "lsm"),
+     f"the plan asks for 11000 seeded swarm runs; the limit is {MAX_RUNS}"),
+])
+def test_cli_argument_rejected_by_library(capsys, monkeypatch, argv, message):
+    _forbid_search(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--dataset", "wuhan")
+    assert code == 1
+    assert err == f"usage error: {message}\n"
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("content,argv,code,prefix", [
+    (b"label,value\n2011,\xff\n", ("--csv",), 2, "data error: "),
+    (b"label,value\n2011," + b"1" * 200_000 + b"\n", ("--csv",), 2, "data error: "),
+    (b"N = 10\n\xff\n", ("--dataset", "wuhan", "--estimator", "adcso", "--config"),
+     1, "usage error: "),
+], ids=["csv-not-utf8", "csv-field-too-large", "config-not-utf8"])
+def test_cli_unreadable_input_file(capsys, tmp_path, content, argv, code, prefix):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    got, out, err = run_cli(capsys, "fit", "--r", "0.5", *argv, str(path))
+    assert got == code
+    assert err.startswith(prefix + str(path))
+    assert "Traceback" not in err and out == ""
 
 
 def test_benchmark_run_limit():
@@ -490,8 +534,7 @@ FIT = ("fit", "--r", "0.25", "--estimator")
     (("benchmark", "--repeats", "1"), "M = 1000000000"),
 ])
 def test_cli_config_over_plan_limit_rejected(capsys, monkeypatch, tmp_path, argv, setting):
-    for search in ("estimate", "order_search", "run_benchmark"):
-        monkeypatch.setattr(f"fracgrey.cli.{search}", _no_search)
+    _forbid_search(monkeypatch)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(setting + "\n")
     code, out, err = run_cli(capsys, *argv, "--dataset", "wuhan", "--config", str(cfg))
