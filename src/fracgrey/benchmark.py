@@ -10,14 +10,10 @@ import json
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .datasets import Dataset
 from .greymodel import fit_series, lsm_fit
 from .optim import (
-    Bounds,
     PsoConfig,
-    RepeatStats,
     SwarmConfig,
     check_runs,
     default_bounds,
@@ -78,19 +74,16 @@ def run_benchmark(
     seed: int = 0,
     swarm_cfg: SwarmConfig | None = None,
     pso_cfg: PsoConfig | None = None,
-    bounds: Bounds | None = None,
-    orders=BENCHMARK_ORDERS,
 ) -> BenchmarkResult:
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     swarm_cfg = replace(swarm_cfg or SwarmConfig(), seed=seed)
     pso_cfg = replace(pso_cfg or PsoConfig(), seed=seed)
-    check_runs(len(orders) * repeats, swarm_cfg, pso_cfg)
+    check_runs(len(BENCHMARK_ORDERS) * repeats, swarm_cfg, pso_cfg)
     series = dataset.series
-    box = bounds or default_bounds(series)
     cells = []
     for estimator in BENCHMARK_ESTIMATORS:
-        for r in orders:
+        for r in BENCHMARK_ORDERS:
             start = time.perf_counter()
             if estimator == "lsm":
                 report = fit_series(series, lsm_fit(series, r))
@@ -101,7 +94,7 @@ def run_benchmark(
                 )
             else:
                 cfg = swarm_cfg if estimator == "adcso" else pso_cfg
-                stats: RepeatStats = repeat_stats(objective(series, r), box, cfg, repeats)
+                stats = repeat_stats(objective(series, r), default_bounds(series), cfg, repeats)
                 cell = CellResult(
                     estimator=estimator, r=r, mean_error_pct=stats.mean,
                     stddev=stats.stddev, repeats=repeats, seed=seed,
@@ -115,13 +108,13 @@ def _ms_since(start: float) -> float:
     return 1000.0 * (time.perf_counter() - start)
 
 
-def render_table(result: BenchmarkResult, orders=BENCHMARK_ORDERS) -> str:
+def render_table(result: BenchmarkResult) -> str:
     """Plain-text comparison table, errors rounded to two decimals."""
-    headers = ["Algorithm"] + [f"Error when r={r} (%)" for r in orders]
+    headers = ["Algorithm"] + [f"Error when r={r} (%)" for r in BENCHMARK_ORDERS]
     rows = []
     for estimator in BENCHMARK_ESTIMATORS:
         row = [estimator.upper()]
-        for r in orders:
+        for r in BENCHMARK_ORDERS:
             row.append(f"{result.cell(estimator, r).mean_error_pct:.2f}")
         rows.append(row)
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]

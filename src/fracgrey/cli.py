@@ -41,6 +41,15 @@ def _add_run_flags(parser, default_estimator="lsm"):
                         help="key=value settings file for the chosen swarm estimator")
 
 
+def _add_search_flags(parser):
+    parser.add_argument("--step", type=float, default=0.01,
+                        help="grid step in [0.001, 0.5] (at most 1000 orders)")
+    parser.add_argument("--repeats", type=int, default=10,
+                        help="seeded runs averaged per grid point (swarm estimators);"
+                             f" orders x repeats <= {MAX_RUNS}")
+    _add_run_flags(parser, default_estimator="adcso")
+
+
 def _build_parser():
     parser = _Parser(prog="fracgrey",
                      description="Fractional-order grey forecasting toolkit")
@@ -55,12 +64,7 @@ def _build_parser():
 
     p_os = sub.add_parser("order-search", help="grid-search the fractional order")
     _add_input_flags(p_os)
-    p_os.add_argument("--step", type=float, default=0.01,
-                      help="grid step in [0.001, 0.5] (at most 1000 orders)")
-    p_os.add_argument("--repeats", type=int, default=10,
-                      help="seeded runs averaged per grid point (swarm estimators);"
-                           f" orders x repeats <= {MAX_RUNS}")
-    _add_run_flags(p_os, default_estimator="adcso")
+    _add_search_flags(p_os)
     p_os.add_argument("--out", metavar="PATH", help="also write the error curve CSV here")
     p_os.set_defaults(func=cmd_order_search)
 
@@ -79,9 +83,7 @@ def _build_parser():
     _add_input_flags(p_fc)
     p_fc.add_argument("--horizon", type=int, default=1,
                       help=f"periods to predict, 1 to {MAX_HORIZON}")
-    p_fc.add_argument("--step", type=float, default=0.01)
-    p_fc.add_argument("--repeats", type=int, default=10)
-    _add_run_flags(p_fc, default_estimator="adcso")
+    _add_search_flags(p_fc)
     p_fc.add_argument("--out", metavar="PATH", help="write the predictions CSV here")
     p_fc.set_defaults(func=cmd_forecast)
 

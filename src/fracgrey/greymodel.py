@@ -131,12 +131,15 @@ def build_design(series: Series, r) -> tuple[np.ndarray, np.ndarray]:
 
     Row k-1 is [-z(k), 1] with z the adjacent means of the order-r
     accumulated series; the target is the accumulated first difference
-    X(k) - X(k-1), for k = 2..n.
+    X(k) - X(k-1), for k = 2..n; values near the float maximum overflow them.
     """
     if len(series) < 2:
         raise DataError("series too short: need at least 2 points for a design")
-    X = frac_accumulate(series.values, r)
-    z = mean_sequence(X)
+    with np.errstate(over="ignore"):
+        X = frac_accumulate(series.values, r)
+        z = mean_sequence(X)  # X > 0, so a finite z bounds every difference too
+    if not np.all(np.isfinite(z)):
+        raise DataError(f"series values too large: accumulated at order {r}, they overflow")
     B = np.column_stack([-z, np.ones(len(z))])
     Y = np.diff(X)
     return B, Y
@@ -208,17 +211,21 @@ def restored_fit(series: Series, params: GreyParams, horizon: int = 0) -> np.nda
 
 
 def fit_series(series: Series, params: GreyParams) -> FitReport:
-    """Evaluate ``params`` on ``series``: fitted values, residuals, error."""
+    """Evaluate ``params`` on ``series``: fitted values, residuals and a finite error."""
     if len(series) < 2:
         raise DataError("series too short: need at least 2 points to score a fit")
-    fitted = restored_fit(series, params)
-    residuals = fitted - series.values
-    per_point = 100.0 * np.abs(residuals[1:]) / series.values[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = restored_fit(series, params)
+        residuals = fitted - series.values
+        per_point = 100.0 * np.abs(residuals[1:]) / series.values[1:]
+        mape = float(np.mean(per_point))
+    if not np.isfinite(mape):
+        raise DataError(f"the fit at order {params.r} overflows: its error is not finite")
     return FitReport(
         params=params,
         fitted=fitted,
         residuals=residuals,
-        mape=float(np.mean(per_point)),
+        mape=mape,
         per_point_error=per_point,
     )
 

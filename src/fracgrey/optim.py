@@ -13,24 +13,26 @@ Two box-bounded minimizers over the percentage-error objective:
 Both clamp positions to the search box and velocities to a fraction of the box
 width, keep the best-ever solution in memory (so best-so-far traces are
 non-increasing), and are fully deterministic given their seed.  One driver,
-`_run`, owns what both share: the initial draws, the best-so-far and the
-trace; each swarm adds only its per-iteration moves, on whole populations of
-stacked layers.  At the default cdc = dim, a seeking agent's copies move
-every coordinate by -s or +s, so they repeat a few points (on the (a, b)
-box, 4 new points against 29 copies).  The cat-swarm engine scores each
-distinct seeking candidate once and does not score an agent's kept position
-again, since its fitness is known; an iteration scores all its new points,
-seeking candidates and tracing moves, in one objective call.  The draws and
-results are those of scoring every candidate one by one.
+`_run`, owns what both share: the run's one generator, seeded by cfg.seed, the
+initial draws, the best-so-far and the trace; each swarm adds only its
+per-iteration moves, on whole populations of stacked layers.  ``estimate`` and
+``order_search`` share one stacked core, `_fit_layers`.  At the default
+cdc = dim, a seeking agent's copies move every coordinate by -s or +s, so they
+repeat a few points (on the (a, b) box, 4 new points against 29 copies).  The
+cat-swarm engine scores each distinct seeking candidate once and does not score
+an agent's kept position again, since its fitness is known; an iteration scores
+all its new points, seeking candidates and tracing moves, in one objective
+call.  The draws and results are those of scoring every candidate one by one.
 
 The objective is the in-sample percentage error of the model values from
-``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses
-too.  It is defined for every finite (a, b), a = 0 included, and a candidate
-whose error is not finite scores +inf.  The same holds for any objective: a
-non-finite fitness (NaN, +inf or -inf) counts as +inf from where it enters the
-engine, so the search routes around it.  Objective functions are pure; a run's
-random draws all happen in one deterministic serial order, so results never
-depend on how evaluations are scheduled.  Distinct runs share no state.
+``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses too.
+It is defined for every finite (a, b), a = 0 included, and a candidate whose
+error is not finite scores +inf; a fit that finds no finite error is a
+``DataError``.  The same holds for any objective: a non-finite fitness (NaN,
++inf or -inf) counts as +inf from where it enters the engine, so the search
+routes around it.  Objective functions are pure; a run's random draws all
+happen in one deterministic serial order, so results never depend on how
+evaluations are scheduled.  Distinct runs share no state.
 """
 
 import itertools
@@ -102,6 +104,8 @@ class Bounds:
 def default_bounds(series: Series) -> Bounds:
     """Default (a, b) search box: a in [-1, 1], b within twice the series peak."""
     peak = float(np.max(series.values))
+    if not math.isfinite(4.0 * peak):
+        raise DataError(f"series peak {peak!r} is too large for the search box of width 4 x peak")
     return Bounds(lower=np.array([-1.0, -2.0 * peak]),
                   upper=np.array([1.0, 2.0 * peak]))
 
@@ -248,7 +252,8 @@ class _MapeEvaluator:
         # Step k reads the weights d_k of every layer as a (layers, 1) column.
         self._d = np.ascontiguousarray(weights.T[:, :, None])
         self._x = x
-        self._inv_x = 1.0 / x
+        with np.errstate(over="ignore"):  # a subnormal value: its errors score +inf
+            self._inv_x = 1.0 / x
         self._layers = len(weights)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -352,11 +357,12 @@ def _seeking_options(dim):
     return np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
 
 
-def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers, rng):
+def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers):
     """Run cfg.iter_max swarm iterations on ``n_layers`` independent layers.
 
-    The driver owns what both swarms share: the uniform initial positions and
-    velocities, the first evaluation, each layer's best-so-far and its trace.
+    The driver owns what both swarms share: the generator, one per run and
+    seeded by ``cfg.seed``, the uniform initial positions and velocities, the
+    first evaluation, each layer's best-so-far and its trace.
     ``moves(batch_obj, bounds, cfg, rng)`` is a generator of one swarm's
     per-iteration updates.  It first yields its population size and the
     candidates it spends per iteration, after checking ``cfg`` and before any
@@ -367,6 +373,7 @@ def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers, rng):
     Returns each layer's best fitness, best position and trace, and the
     candidate budget of one layer's run.
     """
+    rng = np.random.default_rng(cfg.seed)
     steps = moves(batch_obj, bounds, cfg, rng)
     n, per_iteration = next(steps)
     shape = (n_layers, n, bounds.dim)
@@ -556,9 +563,7 @@ def _layer_trace(run, layer) -> RunTrace:
 def _minimize(moves, objective_fn, bounds: Bounds, cfg) -> RunTrace:
     """One single-layer run, seeded by the config, of an (m, dim) -> (m,) objective."""
     check_runs(1, cfg)
-    batch_obj = _as_batch(objective_fn, bounds.dim)
-    rng = np.random.default_rng(cfg.seed)
-    return _layer_trace(_run(moves, batch_obj, bounds, cfg, 1, rng), 0)
+    return _layer_trace(_run(moves, _as_batch(objective_fn, bounds.dim), bounds, cfg, 1), 0)
 
 
 def adcso_minimize(objective_fn, bounds: Bounds, cfg: SwarmConfig | None = None) -> RunTrace:
@@ -580,15 +585,11 @@ def pso_minimize(objective_fn, bounds: Bounds, cfg: PsoConfig | None = None) -> 
 
 
 def _swarm(estimator, swarm_cfg, pso_cfg):
-    """Config, moves and single-layer minimizer of a swarm estimator.
-
-    Single-layer runs go through the public minimizer, looked up by name at
-    call time, so a profiler that wraps it sees them.
-    """
+    """Config and moves of a swarm estimator."""
     if estimator == "adcso":
-        return swarm_cfg or SwarmConfig(), _adcso_moves, adcso_minimize
+        return swarm_cfg or SwarmConfig(), _adcso_moves
     if estimator == "pso":
-        return pso_cfg or PsoConfig(), _pso_moves, pso_minimize
+        return pso_cfg or PsoConfig(), _pso_moves
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -631,10 +632,7 @@ def order_grid(grid_step: float) -> np.ndarray:
             f"grid step {grid_step} gives {count} orders; the limit is "
             f"{MAX_GRID_POINTS} (step >= {1.0 / MAX_GRID_POINTS})"
         )
-    grid = np.round(grid_step * np.arange(1, count + 1), 12)
-    if grid.size == 0:
-        raise ValueError("empty order grid")
-    return grid
+    return np.round(grid_step * np.arange(1, count + 1), 12)
 
 
 def _run_sizes(cfg):
@@ -661,6 +659,23 @@ def check_runs(runs: int, *cfgs) -> None:
             raise ValueError(f"the plan asks for {total} {what}; the limit is {limit}")
 
 
+def _fit_layers(series: Series, orders, repeats: int, cfg, moves):
+    """Minimize the objective ``repeats`` times per order, stacked, on the default box.
+
+    Returns each order's mean best fitness, the best order and its best repeat's trace.
+    """
+    check_runs(len(orders) * repeats, cfg)
+    check_fit_length(series)
+    evaluator = _MapeEvaluator(series.values, np.repeat(orders, repeats))
+    run = _run(moves, evaluator, default_bounds(series), cfg, len(orders) * repeats)
+    per_order = run[0].reshape(len(orders), repeats)
+    mean_fitness = per_order.mean(axis=1)
+    best = int(np.argmin(mean_fitness))
+    if not np.isfinite(mean_fitness[best]):
+        raise DataError("no (a, b) in the search box gives a finite fit error")
+    return mean_fitness, best, _layer_trace(run, best * repeats + int(np.argmin(per_order[best])))
+
+
 def order_search(
     series: Series,
     grid_step: float = 0.01,
@@ -668,45 +683,29 @@ def order_search(
     repeats: int = 10,
     swarm_cfg: SwarmConfig | None = None,
     pso_cfg: PsoConfig | None = None,
-    bounds: Bounds | None = None,
 ) -> OrderSearchResult:
     """Grid-search the fractional order, estimating (a, b) at every candidate.
 
     For the swarm estimators each grid point is minimized ``repeats`` times
     and ranked by mean best fitness; all grid points and repeats advance as
-    layers of one stacked population, drawing from a single generator seeded
-    by the config, so a search is deterministic in its inputs.  The
-    least-squares estimator is deterministic and ignores ``repeats``.  The
-    plan of grid size times ``repeats`` runs must pass :func:`check_runs`.
+    layers of one stacked run (see :func:`_fit_layers`), so a search is
+    deterministic in its inputs.  The least-squares estimator is
+    deterministic and ignores ``repeats``.  The plan of grid size times
+    ``repeats`` runs must pass :func:`check_runs`.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     grid = order_grid(grid_step)
     if estimator == "lsm":
         check_runs(len(grid) * repeats)
-    else:
-        cfg, moves, _ = _swarm(estimator, swarm_cfg, pso_cfg)
-        check_runs(len(grid) * repeats, cfg)
-    check_fit_length(series)
-
-    if estimator == "lsm":
         fitted = [lsm_fit(series, r) for r in grid]
         mean_fitness = np.array([fit_series(series, p).mape for p in fitted])
         best = int(np.argmin(mean_fitness))
         params, best_trace = fitted[best], None
     else:
-        box = bounds or default_bounds(series)
-        if box.dim != 2:
-            raise ValueError("order search estimates (a, b): bounds must be 2-D")
-        evaluator = _MapeEvaluator(series.values, np.repeat(grid, repeats))
-        rng = np.random.default_rng(cfg.seed)
-        run = _run(moves, evaluator, box, cfg, len(grid) * repeats, rng)
-        per_grid = run[0].reshape(len(grid), repeats)
-        mean_fitness = per_grid.mean(axis=1)
-        best = int(np.argmin(mean_fitness))
-        best_trace = _layer_trace(run, best * repeats + int(np.argmin(per_grid[best])))
-        a, b = best_trace.best_position
-        params = GreyParams(r=float(grid[best]), a=a, b=b)
+        cfg, moves = _swarm(estimator, swarm_cfg, pso_cfg)
+        mean_fitness, best, best_trace = _fit_layers(series, grid, repeats, cfg, moves)
+        params = GreyParams(float(grid[best]), *best_trace.best_position)
     return OrderSearchResult(
         order=float(grid[best]),
         params=params,
@@ -723,14 +722,11 @@ def estimate(
     estimator: str = "lsm",
     swarm_cfg: SwarmConfig | None = None,
     pso_cfg: PsoConfig | None = None,
-    bounds: Bounds | None = None,
 ) -> tuple[GreyParams, RunTrace | None]:
     """Estimate (a, b) at a fixed order with the chosen estimator."""
     r = validate_order(r)
-    check_fit_length(series)
     if estimator == "lsm":
         return lsm_fit(series, r), None
-    cfg, _, minimize = _swarm(estimator, swarm_cfg, pso_cfg)
-    trace = minimize(objective(series, r), bounds or default_bounds(series), cfg)
-    a, b = trace.best_position
-    return GreyParams(r=r, a=a, b=b), trace
+    cfg, moves = _swarm(estimator, swarm_cfg, pso_cfg)
+    _, _, trace = _fit_layers(series, [r], 1, cfg, moves)
+    return GreyParams(r, *trace.best_position), trace

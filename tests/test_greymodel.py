@@ -103,6 +103,25 @@ def test_build_design_too_short():
         build_design(Series(labels=[1], values=[1.0]), 0.5)
 
 
+def test_build_design_overflow_is_a_data_error():
+    # accumulating values near the float maximum overflows; lstsq never sees it
+    near_max = Series(labels=[1, 2, 3, 4], values=[1e308, 1.5e308, 1.7e308, 1.75e308])
+    with pytest.raises(DataError, match="accumulated at order 0.5, they overflow"):
+        build_design(near_max, 0.5)
+    with pytest.raises(DataError, match="accumulated at order 0.5, they overflow"):
+        lsm_fit(near_max, 0.5)
+
+
+@pytest.mark.parametrize("values", [[1e-320, 2.0, 3.0, 4.0], [2.0, 1e-320, 3.0, 4.0]],
+                         ids=["tiny-first", "tiny-later"])
+def test_fit_series_non_finite_error_is_a_data_error(values):
+    # b / x1 overflows for a subnormal first value; a subnormal later value
+    # overflows its percentage error
+    series = Series(labels=[1, 2, 3, 4], values=values)
+    with pytest.raises(DataError, match="its error is not finite"):
+        fit_series(series, GreyParams(r=0.5, a=0.1, b=2.0))
+
+
 def test_build_design_shapes(wuhan):
     B, Y = build_design(wuhan, 0.25)
     assert B.shape == (4, 2)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +518,47 @@ def test_cli_unreadable_input_file(capsys, tmp_path, content, argv, code, prefix
     assert got == code
     assert err.startswith(prefix + str(path))
     assert "Traceback" not in err and out == ""
+
+
+TINY_FIRST = ["2011,1e-320", "2012,2", "2013,3", "2014,4"]
+NEAR_FLOAT_MAX = ["2011,1e308", "2012,1.5e308", "2013,1.7e308", "2014,1.75e308"]
+SMALL_SEARCH = ("--step", "0.25", "--repeats", "1", "--estimator")
+NO_FINITE_FIT = "no (a, b) in the search box gives a finite fit error"
+BOX_OVERFLOW = "series peak 1.75e+308 is too large for the search box of width 4 x peak"
+DESIGN_OVERFLOW = "series values too large: accumulated at order 0.5, they overflow"
+
+
+@pytest.mark.parametrize("rows,argv,message", [
+    (TINY_FIRST, ("fit", "--r", "0.5"), "the fit at order 0.5 overflows: its error is not finite"),
+    (TINY_FIRST, ("fit", "--r", "0.5", "--estimator", "pso"), NO_FINITE_FIT),
+    (TINY_FIRST, ("order-search", *SMALL_SEARCH, "lsm"),
+     "the fit at order 0.25 overflows: its error is not finite"),
+    (TINY_FIRST, ("order-search", *SMALL_SEARCH, "adcso"), NO_FINITE_FIT),
+    (TINY_FIRST, ("forecast", *SMALL_SEARCH, "lsm"),
+     "the fit at order 0.25 overflows: its error is not finite"),
+    (NEAR_FLOAT_MAX, ("fit", "--r", "0.5"), DESIGN_OVERFLOW),
+    (NEAR_FLOAT_MAX, ("fit", "--r", "0.5", "--estimator", "pso"), BOX_OVERFLOW),
+    (NEAR_FLOAT_MAX, ("order-search", *SMALL_SEARCH, "adcso"), BOX_OVERFLOW),
+], ids=["tiny-fit-lsm", "tiny-fit-pso", "tiny-search-lsm", "tiny-search-adcso",
+        "tiny-forecast-lsm", "max-fit-lsm", "max-fit-pso", "max-search-adcso"])
+def test_cli_series_out_of_float_range_is_a_data_error(capsys, write_csv, rows, argv,
+                                                        message):
+    # A RuntimeWarning fails the call here (pyproject.toml turns it into an error).
+    path = write_csv("extreme.csv", rows)
+    code, out, err = run_cli(capsys, *argv, "--csv", path)
+    assert code == 2
+    assert err == f"data error: {message}\n"
+    assert out == ""
+
+
+def test_cli_near_float_max_fit_prints_no_lapack_text(write_csv):
+    # LAPACK writes straight to the process's stderr, past capsys
+    path = write_csv("near_max.csv", NEAR_FLOAT_MAX)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "fracgrey", "fit", "--r", "0.5",
+                           "--csv", path], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"data error: {DESIGN_OVERFLOW}\n"
 
 
 def test_benchmark_run_limit():

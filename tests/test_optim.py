@@ -7,6 +7,7 @@ from conftest import exact_response_series, oracle_reduce
 from single_agent import Agent, seeking_step, tracing_step
 from fracgrey import (
     WUHAN,
+    ZHEJIANG,
     Bounds,
     DataError,
     GreyParams,
@@ -24,6 +25,7 @@ from fracgrey import (
     run_benchmark,
 )
 from fracgrey import optim
+from fracgrey.benchmark import BENCHMARK_ORDERS
 from fracgrey.optim import (
     _MapeEvaluator,
     _adaptive_coefficients,
@@ -441,6 +443,55 @@ class TestRepeatStats:
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):
             repeat_stats(sphere, SPHERE_BOUNDS, SwarmConfig(), repeats=0)
+
+
+# The configs of the golden CLI transcripts (tests/test_golden_cli.py) and the
+# default cat swarm, cut to 30 iterations.
+SINGLE_LAYER_CONFIGS = {
+    "adcso": SwarmConfig(iter_max=30, seed=1),
+    "cdc1": SwarmConfig(cdc=1, spc=False, n_agents=10, iter_max=30, seed=1),
+    "m1": SwarmConfig(smp=1, n_agents=10, iter_max=30, seed=2),
+    "pso": PsoConfig(n_particles=10, c1=2.0, iter_max=30, seed=1),
+}
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("dataset", [WUHAN, ZHEJIANG], ids=lambda d: d.name)
+    @pytest.mark.parametrize("r", BENCHMARK_ORDERS)
+    @pytest.mark.parametrize("name", sorted(SINGLE_LAYER_CONFIGS))
+    def test_one_stacked_layer_is_the_single_layer_run(self, dataset, r, name):
+        cfg = SINGLE_LAYER_CONFIGS[name]
+        series = dataset.series
+        if isinstance(cfg, SwarmConfig):
+            params, trace = estimate(series, r, "adcso", swarm_cfg=cfg)
+            solo = adcso_minimize(objective(series, r), default_bounds(series), cfg)
+        else:
+            params, trace = estimate(series, r, "pso", pso_cfg=cfg)
+            solo = pso_minimize(objective(series, r), default_bounds(series), cfg)
+        assert trace.best_fitness_per_iter.tobytes() == solo.best_fitness_per_iter.tobytes()
+        assert trace.best_position.tobytes() == solo.best_position.tobytes()
+        assert trace.best_fitness == solo.best_fitness
+        assert trace.evaluations == solo.evaluations
+        assert (params.r, params.a, params.b) == (r, *solo.best_position)
+
+    @pytest.mark.parametrize("estimator", ["adcso", "pso"])
+    def test_no_finite_fit_is_a_data_error(self, estimator):
+        # b / x1 overflows unless |b| < 2e-12, which these short runs never reach
+        tiny_first = Series(labels=[1, 2, 3, 4], values=[1e-320, 2.0, 3.0, 4.0])
+        cfgs = {"swarm_cfg": SwarmConfig(n_agents=8, smp=5, iter_max=5),
+                "pso_cfg": PsoConfig(n_particles=8, iter_max=5)}
+        with pytest.raises(DataError, match="no \\(a, b\\) in the search box"):
+            estimate(tiny_first, 0.5, estimator, **cfgs)
+        with pytest.raises(DataError, match="no \\(a, b\\) in the search box"):
+            order_search(tiny_first, 0.5, estimator, 1, **cfgs)
+
+    def test_box_overflow_is_a_data_error(self):
+        # 2 x peak is finite, the box width 4 x peak is not
+        near_max = Series(labels=[1, 2, 3, 4], values=[8e307, 8.5e307, 8.7e307, 8.75e307])
+        with pytest.raises(DataError, match="too large for the search box"):
+            default_bounds(near_max)
+        with pytest.raises(DataError, match="too large for the search box"):
+            estimate(near_max, 0.5, "pso")
 
 
 def _no_run(*args, **kwargs):
