@@ -1,14 +1,15 @@
 """Benchmark grid over the embedded datasets: 3 estimators x 3 orders.
 
-Each stochastic cell aggregates ``repeats`` seeded runs (seeds seed+0..)
-and reports their mean error; the deterministic least-squares cells report a
-single value with zero spread.  Cells are independent and own their seeds, so
-they can be computed in any order without changing a number.
+Each stochastic cell aggregates ``repeats`` runs seeded from its config
+(seeds seed+0..) and reports their mean error; the deterministic least-squares
+cells report one value with zero spread, under the cat-swarm config's seed.
+Cells are independent and own their seeds, so they can be computed in any
+order without changing a number.
 """
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .datasets import Dataset
 from .greymodel import fit_series, lsm_fit
@@ -71,14 +72,14 @@ class BenchmarkResult:
 def run_benchmark(
     dataset: Dataset,
     repeats: int = 10,
-    seed: int = 0,
     swarm_cfg: SwarmConfig | None = None,
     pso_cfg: PsoConfig | None = None,
 ) -> BenchmarkResult:
+    """The 3x3 grid on ``dataset``; each swarm cell runs its config's seeds."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    swarm_cfg = replace(swarm_cfg or SwarmConfig(), seed=seed)
-    pso_cfg = replace(pso_cfg or PsoConfig(), seed=seed)
+    swarm_cfg = swarm_cfg or SwarmConfig()
+    pso_cfg = pso_cfg or PsoConfig()
     check_runs(len(BENCHMARK_ORDERS) * repeats, swarm_cfg, pso_cfg)
     series = dataset.series
     cells = []
@@ -89,7 +90,7 @@ def run_benchmark(
                 report = fit_series(series, lsm_fit(series, r))
                 cell = CellResult(
                     estimator="lsm", r=r, mean_error_pct=report.mape,
-                    stddev=0.0, repeats=1, seed=seed,
+                    stddev=0.0, repeats=1, seed=swarm_cfg.seed,
                     elapsed_ms=_ms_since(start),
                 )
             else:
@@ -97,7 +98,7 @@ def run_benchmark(
                 stats = repeat_stats(objective(series, r), default_bounds(series), cfg, repeats)
                 cell = CellResult(
                     estimator=estimator, r=r, mean_error_pct=stats.mean,
-                    stddev=stats.stddev, repeats=repeats, seed=seed,
+                    stddev=stats.stddev, repeats=repeats, seed=cfg.seed,
                     elapsed_ms=_ms_since(start), traces=stats.traces,
                 )
             cells.append(cell)

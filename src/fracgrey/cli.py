@@ -10,11 +10,18 @@ explicit --seed are byte-reproducible.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .benchmark import render_table, run_benchmark, write_results_json, write_traces
+from .benchmark import (
+    BENCHMARK_ESTIMATORS,
+    render_table,
+    run_benchmark,
+    write_results_json,
+    write_traces,
+)
 from .config import pso_config_from_file, swarm_config_from_file
-from .datasets import get_dataset, load_csv
+from .datasets import DATASETS, get_dataset, load_csv
 from .errors import DataError, SingularDesignError, UsageError
 from .greymodel import MAX_HORIZON, Series, check_horizon, fit_series, forecast
 from .optim import MAX_RUNS, PsoConfig, SwarmConfig, estimate, order_search
@@ -26,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_input_flags(parser, with_csv=True):
-    parser.add_argument("--dataset", choices=["wuhan", "zhejiang"],
+    parser.add_argument("--dataset", choices=sorted(DATASETS),
                         help="embedded benchmark dataset")
     if with_csv:
         parser.add_argument("--csv", metavar="PATH",
@@ -34,7 +41,7 @@ def _add_input_flags(parser, with_csv=True):
 
 
 def _add_run_flags(parser, default_estimator="lsm"):
-    parser.add_argument("--estimator", choices=["lsm", "pso", "adcso"],
+    parser.add_argument("--estimator", choices=BENCHMARK_ESTIMATORS,
                         default=default_estimator)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", metavar="PATH",
@@ -103,17 +110,15 @@ def _series_from(args) -> tuple[str, Series]:
 
 def _configs_from(args):
     """Swarm and particle configs for this run, honoring --config and --seed."""
-    seed = args.seed
     config_path = getattr(args, "config", None)
     if config_path and args.estimator == "lsm":
         raise UsageError("--config only applies to the swarm estimators")
-    swarm = SwarmConfig(seed=seed)
-    pso = PsoConfig(seed=seed)
-    if config_path:
-        if args.estimator == "adcso":
-            swarm = swarm_config_from_file(config_path, seed=seed)
-        else:
-            pso = pso_config_from_file(config_path, seed=seed)
+    # A bad seed is reported before the config file is read.
+    swarm, pso = SwarmConfig(seed=args.seed), PsoConfig(seed=args.seed)
+    if config_path and args.estimator == "adcso":
+        swarm = replace(swarm_config_from_file(config_path), seed=swarm.seed)
+    elif config_path:
+        pso = replace(pso_config_from_file(config_path), seed=pso.seed)
     return swarm, pso
 
 
@@ -190,8 +195,7 @@ def cmd_benchmark(args) -> int:
         raise UsageError("--dataset is required for benchmark")
     swarm, pso = _configs_from(args)
     dataset = get_dataset(args.dataset)
-    result = run_benchmark(dataset, repeats=args.repeats, seed=args.seed,
-                           swarm_cfg=swarm, pso_cfg=pso)
+    result = run_benchmark(dataset, repeats=args.repeats, swarm_cfg=swarm, pso_cfg=pso)
     table = render_table(result)
     print(table)
     if args.out:

@@ -31,7 +31,6 @@ SWARM_KEYS = {
     "c": ("c0", float),
     "w": ("w0", float),
     "Iter_max": ("iter_max", int),
-    "v_frac": ("v_frac", float),
 }
 
 PSO_KEYS = {
@@ -40,7 +39,6 @@ PSO_KEYS = {
     "c2": ("c2", float),
     "w": ("w", float),
     "Iter_max": ("iter_max", int),
-    "v_frac": ("v_frac", float),
 }
 
 
@@ -89,11 +87,11 @@ def _apply(raw: dict, table: dict, path) -> dict:
     return fields
 
 
-def _build(cls, table: dict, path, seed: int):
+def _build(cls, table: dict, path):
     """``cls`` from the file's settings; an invalid one is reported by its key."""
     fields = _apply(read_key_values(path), table, path)
     try:
-        return cls(seed=seed, **fields)
+        return cls(**fields)
     except ValueError as exc:
         # The config classes name the offending field first.
         field, _, rest = str(exc).partition(" ")
@@ -101,8 +99,8 @@ def _build(cls, table: dict, path, seed: int):
         raise UsageError(f"{path}: {key} {rest}") from exc
 
 
-def swarm_config_from_file(path, seed: int = 0) -> SwarmConfig:
-    cfg = _build(SwarmConfig, SWARM_KEYS, path, seed)
+def swarm_config_from_file(path) -> SwarmConfig:
+    cfg = _build(SwarmConfig, SWARM_KEYS, path)
     if cfg.cdc > SEARCH_DIM:
         raise UsageError(
             f"{path}: CDC = {cfg.cdc} exceeds the search dimension {SEARCH_DIM}"
@@ -110,5 +108,5 @@ def swarm_config_from_file(path, seed: int = 0) -> SwarmConfig:
     return cfg
 
 
-def pso_config_from_file(path, seed: int = 0) -> PsoConfig:
-    return _build(PsoConfig, PSO_KEYS, path, seed)
+def pso_config_from_file(path) -> PsoConfig:
+    return _build(PsoConfig, PSO_KEYS, path)

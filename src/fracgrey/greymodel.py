@@ -233,8 +233,14 @@ def fit_series(series: Series, params: GreyParams) -> FitReport:
 def forecast(series: Series, params: GreyParams, horizon: int) -> np.ndarray:
     """Original-scale predictions for the ``horizon`` periods after the sample.
 
-    ``horizon`` must pass :func:`check_horizon`.
+    ``horizon`` must pass :func:`check_horizon`; a prediction that overflows
+    is a DataError.
     """
     check_horizon(horizon)
-    extended = restored_fit(series, params, horizon=horizon)
-    return extended[len(series):]
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = restored_fit(series, params, horizon=horizon)[len(series):]
+    finite = np.isfinite(predictions)
+    if not finite.all():
+        raise DataError(f"the forecast at order {params.r} overflows: prediction "
+                        f"{int(np.argmin(finite)) + 1} of {horizon} is not finite")
+    return predictions

@@ -10,7 +10,7 @@ Two box-bounded minimizers over the percentage-error objective:
   and jump to the candidate of lowest fitness, ties broken at random;
 * global-best particle swarm with fixed inertia and two acceleration terms.
 
-Both clamp positions to the search box and velocities to a fraction of the box
+Both clamp positions to the search box and velocities to V_FRAC of the box
 width, keep the best-ever solution in memory (so best-so-far traces are
 non-increasing), and are fully deterministic given their seed.  One driver,
 `_run`, owns what both share: the run's one generator, seeded by cfg.seed, the
@@ -57,6 +57,9 @@ from .greymodel import (
 ZERO_GUARD = 1e-9
 ZERO_KICK = 1e-3
 
+# Velocity limit of both swarms, as a fraction of the box width.
+V_FRAC = 0.2
+
 # Largest order grid a search may ask for: a step of at least 0.001.
 MAX_GRID_POINTS = 1000
 
@@ -91,6 +94,9 @@ class Bounds:
             raise ValueError("bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("need lower < upper in every dimension")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):
+                raise ValueError("the box width upper - lower overflows")
 
     @property
     def dim(self) -> int:
@@ -127,7 +133,6 @@ class SwarmConfig:
     each copy mutates.  spc: keep the current position among the candidates.
     mr: fraction of agents placed in tracing mode each iteration.
     c0/w0: base acceleration and inertia for the tracing update.
-    v_frac: velocity limit as a fraction of the box width.
     """
 
     n_agents: int = 40
@@ -139,7 +144,6 @@ class SwarmConfig:
     c0: float = 1.05
     w0: float = 0.6
     iter_max: int = 300
-    v_frac: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -156,8 +160,6 @@ class SwarmConfig:
             raise ValueError("mr must lie strictly between 0 and 1")
         if self.iter_max < 1:
             raise ValueError("iter_max must be at least 1")
-        if self.v_frac <= 0:
-            raise ValueError("v_frac must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -171,7 +173,6 @@ class PsoConfig:
     c2: float = 1.5
     w: float = 0.7
     iter_max: int = 300
-    v_frac: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -180,8 +181,6 @@ class PsoConfig:
             raise ValueError("n_particles must be at least 1")
         if self.iter_max < 1:
             raise ValueError("iter_max must be at least 1")
-        if self.v_frac <= 0:
-            raise ValueError("v_frac must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -212,8 +211,6 @@ class RepeatStats:
 
     mean: float
     stddev: float
-    min: float
-    max: float
     best_fitnesses: np.ndarray
     traces: tuple
 
@@ -227,7 +224,6 @@ class OrderSearchResult:
     trace: RunTrace | None
     grid: np.ndarray
     mean_fitness: np.ndarray
-    estimator: str
 
 
 class _MapeEvaluator:
@@ -357,27 +353,29 @@ def _seeking_options(dim):
     return np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
 
 
-def _run(moves, batch_obj, bounds: Bounds, cfg, n_layers):
+def _run(batch_obj, bounds: Bounds, cfg, n_layers):
     """Run cfg.iter_max swarm iterations on ``n_layers`` independent layers.
 
     The driver owns what both swarms share: the generator, one per run and
     seeded by ``cfg.seed``, the uniform initial positions and velocities, the
-    first evaluation, each layer's best-so-far and its trace.
-    ``moves(batch_obj, bounds, cfg, rng)`` is a generator of one swarm's
-    per-iteration updates.  It first yields its population size and the
-    candidates it spends per iteration, after checking ``cfg`` and before any
-    draw.  Each later ``send`` of the state (positions, velocities, fitness,
-    best positions) runs one iteration and returns the (fitness, positions)
-    the best is taken from; the moves update the state arrays in place.
+    first evaluation, each layer's best-so-far and its trace.  The config's
+    type picks the swarm's moves, :func:`_adcso_moves` or :func:`_pso_moves`:
+    a generator of its per-iteration updates.  It first yields its population
+    size and the candidates it spends per iteration, after checking ``cfg``
+    and before any draw.  Each later ``send`` of the state (positions,
+    velocities, fitness, best positions) runs one iteration and returns the
+    (fitness, positions) the best is taken from; the moves update the state
+    arrays in place.
 
     Returns each layer's best fitness, best position and trace, and the
     candidate budget of one layer's run.
     """
     rng = np.random.default_rng(cfg.seed)
+    moves = _adcso_moves if isinstance(cfg, SwarmConfig) else _pso_moves
     steps = moves(batch_obj, bounds, cfg, rng)
     n, per_iteration = next(steps)
     shape = (n_layers, n, bounds.dim)
-    vmax = cfg.v_frac * bounds.width
+    vmax = V_FRAC * bounds.width
     pos = bounds.lower + rng.random(shape) * bounds.width
     vel = -vmax + rng.random(shape) * (2.0 * vmax)
     fit = batch_obj(pos)
@@ -431,7 +429,7 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     pos, vel, fit, best_pos = yield n, n_seeking * per_agent + n_tracing
 
     lower, upper, width = bounds.lower, bounds.upper, bounds.width
-    vmax = cfg.v_frac * width
+    vmax = V_FRAC * width
     w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
     n_layers = len(pos)
     rows = np.arange(n_layers)
@@ -531,7 +529,7 @@ def _pso_moves(batch_obj, bounds: Bounds, cfg: PsoConfig, rng):
     """
     n = cfg.n_particles
     pos, vel, fit, best_pos = yield n, n
-    vmax = cfg.v_frac * bounds.width
+    vmax = V_FRAC * bounds.width
     pbest = pos.copy()
     pbest_fit = fit.copy()
     while True:
@@ -560,10 +558,10 @@ def _layer_trace(run, layer) -> RunTrace:
     )
 
 
-def _minimize(moves, objective_fn, bounds: Bounds, cfg) -> RunTrace:
+def _minimize(objective_fn, bounds: Bounds, cfg) -> RunTrace:
     """One single-layer run, seeded by the config, of an (m, dim) -> (m,) objective."""
     check_runs(1, cfg)
-    return _layer_trace(_run(moves, _as_batch(objective_fn, bounds.dim), bounds, cfg, 1), 0)
+    return _layer_trace(_run(_as_batch(objective_fn, bounds.dim), bounds, cfg, 1), 0)
 
 
 def adcso_minimize(objective_fn, bounds: Bounds, cfg: SwarmConfig | None = None) -> RunTrace:
@@ -573,7 +571,7 @@ def adcso_minimize(objective_fn, bounds: Bounds, cfg: SwarmConfig | None = None)
     values; NaN, +inf and -inf all count as +inf.  Runs exactly cfg.iter_max
     iterations; identical inputs and seed reproduce the run bit for bit.
     """
-    return _minimize(_adcso_moves, objective_fn, bounds, cfg or SwarmConfig())
+    return _minimize(objective_fn, bounds, cfg or SwarmConfig())
 
 
 def pso_minimize(objective_fn, bounds: Bounds, cfg: PsoConfig | None = None) -> RunTrace:
@@ -581,15 +579,15 @@ def pso_minimize(objective_fn, bounds: Bounds, cfg: PsoConfig | None = None) -> 
 
     NaN, +inf and -inf fitness all count as +inf, as in :func:`adcso_minimize`.
     """
-    return _minimize(_pso_moves, objective_fn, bounds, cfg or PsoConfig())
+    return _minimize(objective_fn, bounds, cfg or PsoConfig())
 
 
 def _swarm(estimator, swarm_cfg, pso_cfg):
-    """Config and moves of a swarm estimator."""
+    """Config of a swarm estimator."""
     if estimator == "adcso":
-        return swarm_cfg or SwarmConfig(), _adcso_moves
+        return swarm_cfg or SwarmConfig()
     if estimator == "pso":
-        return pso_cfg or PsoConfig(), _pso_moves
+        return pso_cfg or PsoConfig()
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -611,8 +609,6 @@ def repeat_stats(objective_fn, bounds: Bounds, cfg, repeats: int) -> RepeatStats
     return RepeatStats(
         mean=float(values.mean()),
         stddev=float(values.std()),
-        min=float(values.min()),
-        max=float(values.max()),
         best_fitnesses=values,
         traces=traces,
     )
@@ -659,7 +655,7 @@ def check_runs(runs: int, *cfgs) -> None:
             raise ValueError(f"the plan asks for {total} {what}; the limit is {limit}")
 
 
-def _fit_layers(series: Series, orders, repeats: int, cfg, moves):
+def _fit_layers(series: Series, orders, repeats: int, cfg):
     """Minimize the objective ``repeats`` times per order, stacked, on the default box.
 
     Returns each order's mean best fitness, the best order and its best repeat's trace.
@@ -667,7 +663,7 @@ def _fit_layers(series: Series, orders, repeats: int, cfg, moves):
     check_runs(len(orders) * repeats, cfg)
     check_fit_length(series)
     evaluator = _MapeEvaluator(series.values, np.repeat(orders, repeats))
-    run = _run(moves, evaluator, default_bounds(series), cfg, len(orders) * repeats)
+    run = _run(evaluator, default_bounds(series), cfg, len(orders) * repeats)
     per_order = run[0].reshape(len(orders), repeats)
     mean_fitness = per_order.mean(axis=1)
     best = int(np.argmin(mean_fitness))
@@ -703,8 +699,8 @@ def order_search(
         best = int(np.argmin(mean_fitness))
         params, best_trace = fitted[best], None
     else:
-        cfg, moves = _swarm(estimator, swarm_cfg, pso_cfg)
-        mean_fitness, best, best_trace = _fit_layers(series, grid, repeats, cfg, moves)
+        cfg = _swarm(estimator, swarm_cfg, pso_cfg)
+        mean_fitness, best, best_trace = _fit_layers(series, grid, repeats, cfg)
         params = GreyParams(float(grid[best]), *best_trace.best_position)
     return OrderSearchResult(
         order=float(grid[best]),
@@ -712,7 +708,6 @@ def order_search(
         trace=best_trace,
         grid=grid,
         mean_fitness=mean_fitness,
-        estimator=estimator,
     )
 
 
@@ -727,6 +722,5 @@ def estimate(
     r = validate_order(r)
     if estimator == "lsm":
         return lsm_fit(series, r), None
-    cfg, moves = _swarm(estimator, swarm_cfg, pso_cfg)
-    _, _, trace = _fit_layers(series, [r], 1, cfg, moves)
+    _, _, trace = _fit_layers(series, [r], 1, _swarm(estimator, swarm_cfg, pso_cfg))
     return GreyParams(r, *trace.best_position), trace

@@ -20,6 +20,7 @@ import numpy as np
 
 from fracgrey import Bounds, SwarmConfig
 from fracgrey.optim import (
+    V_FRAC,
     ZERO_GUARD,
     ZERO_KICK,
     _adaptive_coefficients,
@@ -97,7 +98,7 @@ def tracing_step(agent: Agent, global_best, cfg: SwarmConfig, bounds: Bounds, rn
     """One tracing-mode move toward the best-known position.
 
     Per dimension: v <- w_d v + u c_d (best - x) with one uniform draw u per
-    dimension, velocity clamped to +-v_frac of the box width, position moved
+    dimension, velocity clamped to +-V_FRAC of the box width, position moved
     by v and clamped into the box.  The fitness field is carried over
     unchanged; callers re-evaluate after the move.
     """
@@ -105,7 +106,7 @@ def tracing_step(agent: Agent, global_best, cfg: SwarmConfig, bounds: Bounds, rn
         raise ValueError(f"agent is in {agent.mode!r} mode, expected 'tracing'")
     dim = bounds.dim
     w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
-    vmax = cfg.v_frac * bounds.width
+    vmax = V_FRAC * bounds.width
     pos = np.asarray(agent.position, dtype=float)
     vel = np.asarray(agent.velocity, dtype=float)
     vel = w_d * vel + rng.random(dim) * c_d * (np.asarray(global_best, dtype=float) - pos)

@@ -231,6 +231,14 @@ class TestForecast:
         np.testing.assert_array_equal(full[: len(wuhan)], report.fitted)
         np.testing.assert_array_equal(forecast(wuhan, params, 3), full[len(wuhan):])
 
+    def test_overflowing_prediction_is_a_data_error(self):
+        # a growth of 3x per period leaves the float range within 1000 periods
+        series = Series(labels=[1, 2, 3, 4, 5], values=[1.0, 3.0, 9.0, 27.0, 81.0])
+        params = lsm_fit(series, 0.5)
+        assert np.all(np.isfinite(forecast(series, params, 100)))
+        with pytest.raises(DataError, match=r"prediction \d+ of 1000 is not finite"):
+            forecast(series, params, 1000)
+
     def test_wuhan_next_period_magnitude(self, wuhan):
         # no ground truth beyond the sample; sanity-check the scale only
         params = lsm_fit(wuhan, 0.21)

@@ -13,14 +13,18 @@ from fracgrey import (
     WUHAN,
     ZHEJIANG,
     DataError,
+    PsoConfig,
     SingularDesignError,
     SwarmConfig,
     UsageError,
+    default_bounds,
     load_csv,
+    objective,
     render_table,
+    repeat_stats,
     run_benchmark,
 )
-from fracgrey.benchmark import write_trace_csv
+from fracgrey.benchmark import BENCHMARK_ORDERS, write_trace_csv
 from fracgrey.cli import main
 from fracgrey.config import pso_config_from_file, swarm_config_from_file
 from fracgrey.greymodel import MAX_HORIZON
@@ -120,16 +124,13 @@ Iter_max = 300
 def test_swarm_config_file_round_trip(tmp_path):
     path = tmp_path / "cso.cfg"
     path.write_text(REFERENCE_CSO_CONFIG)
-    cfg = swarm_config_from_file(path, seed=7)
-    assert cfg == SwarmConfig(seed=7)
+    assert swarm_config_from_file(path) == SwarmConfig()
 
 
 def test_pso_config_file(tmp_path):
     path = tmp_path / "pso.cfg"
     path.write_text("N = 40\nc1 = 1.5\nc2 = 1.5\nw = 0.7\nIter_max = 300\n")
-    cfg = pso_config_from_file(path, seed=3)
-    assert (cfg.n_particles, cfg.c1, cfg.c2, cfg.w, cfg.iter_max) == (40, 1.5, 1.5, 0.7, 300)
-    assert cfg.seed == 3
+    assert pso_config_from_file(path) == PsoConfig()
 
 
 def test_config_unknown_key(tmp_path):
@@ -168,7 +169,7 @@ SMALL_SWARM = SwarmConfig(n_agents=8, smp=5, iter_max=40)
 
 @pytest.fixture(scope="module")
 def small_benchmark():
-    return run_benchmark(WUHAN, repeats=2, seed=0, swarm_cfg=SMALL_SWARM)
+    return run_benchmark(WUHAN, repeats=2, swarm_cfg=SMALL_SWARM)
 
 
 def test_benchmark_has_nine_cells(small_benchmark):
@@ -221,6 +222,22 @@ def test_trace_csv_schema(small_benchmark, tmp_path):
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(values) == SMALL_SWARM.iter_max + 1
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def test_benchmark_cells_take_the_config_seeds():
+    swarm = SwarmConfig(n_agents=8, smp=5, iter_max=20, seed=5)
+    pso = PsoConfig(n_particles=8, iter_max=20, seed=9)
+    result = run_benchmark(WUHAN, repeats=1, swarm_cfg=swarm, pso_cfg=pso)
+    series = WUHAN.series
+    for estimator, cfg in (("adcso", swarm), ("pso", pso)):
+        for r in BENCHMARK_ORDERS:
+            cell = result.cell(estimator, r)
+            stats = repeat_stats(objective(series, r), default_bounds(series), cfg, 1)
+            assert cell.seed == cfg.seed
+            assert cell.mean_error_pct == stats.mean
+            np.testing.assert_array_equal(cell.traces[0].best_fitness_per_iter,
+                                          stats.traces[0].best_fitness_per_iter)
+    assert {result.cell("lsm", r).seed for r in BENCHMARK_ORDERS} == {swarm.seed}
 
 
 def test_benchmark_repeats_validation():
@@ -539,8 +556,12 @@ DESIGN_OVERFLOW = "series values too large: accumulated at order 0.5, they overf
     (NEAR_FLOAT_MAX, ("fit", "--r", "0.5"), DESIGN_OVERFLOW),
     (NEAR_FLOAT_MAX, ("fit", "--r", "0.5", "--estimator", "pso"), BOX_OVERFLOW),
     (NEAR_FLOAT_MAX, ("order-search", *SMALL_SEARCH, "adcso"), BOX_OVERFLOW),
+    (["1,1", "2,3", "3,9", "4,27", "5,81"],
+     ("forecast", "--estimator", "lsm", "--horizon", "1000", "--step", "0.5"),
+     "the forecast at order 0.5 overflows: prediction 707 of 1000 is not finite"),
 ], ids=["tiny-fit-lsm", "tiny-fit-pso", "tiny-search-lsm", "tiny-search-adcso",
-        "tiny-forecast-lsm", "max-fit-lsm", "max-fit-pso", "max-search-adcso"])
+        "tiny-forecast-lsm", "max-fit-lsm", "max-fit-pso", "max-search-adcso",
+        "growth-forecast-lsm"])
 def test_cli_series_out_of_float_range_is_a_data_error(capsys, write_csv, rows, argv,
                                                         message):
     # A RuntimeWarning fails the call here (pyproject.toml turns it into an error).
@@ -605,6 +626,9 @@ def test_cli_config_non_finite_setting_rejected(capsys, monkeypatch, tmp_path,
     ("adcso", "c = nan", "c must be finite"),
     ("adcso", "M = 0", "M must be at least 1"),
     ("pso", "N = 0", "N must be at least 1"),
+    ("adcso", "v_frac = 0.3",
+     "unknown config key 'v_frac'; allowed: N, M, SRD, CDC, SPC, mr, c, w, Iter_max"),
+    ("pso", "v_frac = 0.3", "unknown config key 'v_frac'; allowed: N, c1, c2, w, Iter_max"),
 ])
 def test_cli_config_error_names_the_key(capsys, monkeypatch, tmp_path,
                                         estimator, setting, message):
