@@ -165,17 +165,16 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _search(args):
-    """Input name, series and order search of ``args``."""
-    name, series = _series_from(args)
+def _search(args, series):
+    """Order search of ``series`` with the options of ``args``."""
     swarm, pso = _configs_from(args)
-    result = order_search(series, grid_step=args.step, estimator=args.estimator,
-                          repeats=args.repeats, swarm_cfg=swarm, pso_cfg=pso)
-    return name, series, result
+    return order_search(series, grid_step=args.step, estimator=args.estimator,
+                        repeats=args.repeats, swarm_cfg=swarm, pso_cfg=pso)
 
 
 def cmd_order_search(args) -> int:
-    _, _, result = _search(args)
+    _, series = _series_from(args)
+    result = _search(args, series)
     curve_lines = ["r,mean_error"]
     curve_lines += [f"{float(r)!r},{float(e)!r}"
                     for r, e in zip(result.grid, result.mean_fitness)]
@@ -212,13 +211,15 @@ def cmd_benchmark(args) -> int:
 def cmd_forecast(args) -> int:
     horizon = args.horizon
     check_horizon(horizon)  # before the search, which may take long
-    name, series, result = _search(args)
+    name, series = _series_from(args)
+    labels = series.future_labels(horizon)
+    result = _search(args, series)
     predictions = forecast(series, result.params, horizon)
     print(f"# {name}: r={result.params.r!r} a={result.params.a!r} "
           f"b={result.params.b!r} estimator={args.estimator}", file=sys.stderr)
     lines = ["label,value"]
     lines += [f"{label},{float(value)!r}"
-              for label, value in zip(series.future_labels(horizon), predictions)]
+              for label, value in zip(labels, predictions)]
     text = "\n".join(lines)
     print(text)
     if args.out:

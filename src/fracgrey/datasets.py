@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .greymodel import Series
+from .greymodel import INT64, Series
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def get_dataset(name: str) -> Dataset:
 def load_csv(path) -> Series:
     """Read a two-column ``label,value`` CSV (header required) into a Series.
 
-    The file must be UTF-8 text.  Labels must be integers, strictly
+    The file must be UTF-8 text.  Labels must be int64 integers, strictly
     increasing and equally spaced; values must be positive numbers.  Errors
     name the file and, where there is one, the offending line.
     """
@@ -74,7 +74,7 @@ def load_csv(path) -> Series:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return Series(labels=np.array(labels), values=np.array(values))
+    return Series(labels=np.array(labels, dtype=np.int64), values=np.array(values))
 
 
 def _read_rows(reader, path) -> tuple[list, list]:
@@ -94,11 +94,16 @@ def _read_rows(reader, path) -> tuple[list, list]:
         if len(row) != 2:
             raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
         try:
-            labels.append(int(row[0]))
+            label = int(row[0])
         except ValueError:
             raise DataError(
                 f"{path}: line {lineno}: label {row[0]!r} is not an integer"
             ) from None
+        if not INT64.min <= label <= INT64.max:
+            raise DataError(
+                f"{path}: line {lineno}: label {row[0]!r} lies outside the int64 range"
+            )
+        labels.append(label)
         try:
             values.append(float(row[1]))
         except ValueError:

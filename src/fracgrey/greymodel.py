@@ -28,6 +28,9 @@ MIN_FIT_LENGTH = 4
 # Longest forecast, in periods, a call may ask for.
 MAX_HORIZON = 1000
 
+# Range of integer period labels.
+INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class Series:
@@ -73,9 +76,17 @@ class Series:
         return self.labels[1] - self.labels[0] if len(self) > 1 else 1
 
     def future_labels(self, horizon: int) -> np.ndarray:
-        """Labels for the ``horizon`` periods after the last observation."""
-        step = self.spacing
-        return self.labels[-1] + step * np.arange(1, horizon + 1)
+        """Labels for the ``horizon`` periods after the last observation.
+
+        Integer labels must stay within int64; a label past it is a ``DataError``.
+        """
+        step, last = self.spacing, self.labels[-1]
+        if np.issubdtype(self.labels.dtype, np.integer):
+            end = int(last) + int(step) * horizon
+            if end > INT64.max:
+                raise DataError(f"the label {horizon} periods after {last} is {end},"
+                                " outside the int64 range")
+        return last + step * np.arange(1, horizon + 1)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,16 @@ non-increasing), and are fully deterministic given their seed.  One driver,
 `_run`, owns what both share: the run's one generator, seeded by cfg.seed, the
 initial draws, the best-so-far and the trace; each swarm adds only its
 per-iteration moves, on whole populations of stacked layers.  ``estimate`` and
-``order_search`` share one stacked core, `_fit_layers`.  At the default
-cdc = dim, a seeking agent's copies move every coordinate by -s or +s, so they
-repeat a few points (on the (a, b) box, 4 new points against 29 copies).  The
-cat-swarm engine scores each distinct seeking candidate once and does not score
-an agent's kept position again, since its fitness is known; an iteration scores
-all its new points, seeking candidates and tracing moves, in one objective
-call.  The draws and results are those of scoring every candidate one by one.
+``order_search`` share one stacked core, `_fit_layers`.  A seeking agent's
+copies take each coordinate from a few options of that agent: x - s, x + s
+and, when cdc < dim, x itself.  So they repeat a few points (on the (a, b)
+box, at most 4 new points against 29 copies at the default cdc = dim, 9 at
+cdc = 1).  The cat-swarm engine scores each distinct seeking candidate once
+and does not score an agent's kept position again, since its fitness is
+known; an iteration scores all its new points, seeking candidates and tracing
+moves, in one objective call.  The draws and results are those of scoring
+every candidate one by one.  A step or move past the float range clips to the
+box edge, and a setting that could make a NaN velocity is rejected.
 
 The objective is the in-sample percentage error of the model values from
 ``greymodel.restored_steps``, the O(n) recurrence that ``fit_series`` uses too.
@@ -344,13 +347,33 @@ def _as_batch(objective_fn, dim):
     return batched
 
 
-def _seeking_options(dim):
-    """Which coordinates of each seeking table entry move to x + s.
+def _seeking_options(dim, k):
+    """Which option each coordinate of each seeking table entry takes.
 
-    Entry j moves coordinate d to clip(x + s) when bit d of j is set and to
-    clip(x - s) otherwise.
+    Entry j takes, at coordinate d, option digit d of j in base k: 0 is
+    clip(x - s), 1 is clip(x + s) and 2 (k = 3) is x unmoved.
     """
-    return np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
+    return np.arange(k ** dim)[:, None] // k ** np.arange(dim) % k
+
+
+def _check_velocity_terms(cfg, terms):
+    """Reject a setting whose velocity term can meet an opposite infinity.
+
+    ``terms`` holds (setting, coefficient, reach) for each term of a velocity
+    update, summed in that order: a term is at most |coefficient| x reach,
+    the velocity limit for the inertia and the box width for a pull.  A sum
+    past the float range clips to the velocity limit, as the exact sum would;
+    only a term that can overflow where the sum before it can too makes
+    inf - inf, a NaN velocity.
+    """
+    reach_so_far = 0.0
+    with np.errstate(over="ignore"):
+        for name, coefficient, reach in terms:
+            term = np.abs(coefficient) * reach
+            if not np.all(np.isfinite(term) | np.isfinite(reach_so_far)):
+                raise ValueError(f"{name} = {getattr(cfg, name)} is too large for this"
+                                 " search box: its velocity term can overflow")
+            reach_so_far = reach_so_far + term
 
 
 def _run(batch_obj, bounds: Bounds, cfg, n_layers):
@@ -406,20 +429,26 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     draws come in a fixed order: the group split, the seeking mask (cdc <
     dim) and coins, the seeking tie-breaks, then the tracing draw.
 
-    Seeking scores each distinct candidate once.  When every coordinate
-    moves (cdc == dim, the default), a copy moves each coordinate x to
-    clip(x - s) or clip(x + s), so an agent's smp - 1 copies (smp without
-    spc) take at most 2**dim points, and its table holds those points.  When
-    cdc < dim, or when that table would not be smaller than the copies, the
-    table is the copies themselves.  The kept position (spc) is not scored
-    again: its fitness is the agent's current one, which the objective gave
-    at that position.  The selection rule gets each copy's fitness looked up
-    from the table, so the draws, the pick and every result are those of
-    scoring all copies one by one.
+    Seeking builds every candidate by picking from per-agent options, one
+    option per coordinate: clip(x - s) or clip(x + s) by the copy's coin
+    and, when cdc < dim, x itself where the mask leaves the coordinate
+    unmoved.  With k options per coordinate an agent's smp - 1 copies (smp
+    without spc) take at most k**dim points.  Each distinct candidate is
+    scored once: when k**dim < the number of copies, the agent's table holds
+    all k**dim option combinations; otherwise the table is the copies
+    themselves.  The kept position (spc) is not scored again: its fitness is
+    the agent's current one, which the objective gave at that position.  The
+    selection rule gets each copy's fitness looked up from the table, so the
+    draws, the pick and every result are those of scoring all copies one by
+    one.  A step or move past the float range clips to the box edge.
     """
     dim = bounds.dim
     if cfg.cdc > dim:
         raise ValueError(f"cdc = {cfg.cdc} exceeds the search dimension {dim}")
+    lower, upper, width = bounds.lower, bounds.upper, bounds.width
+    vmax = V_FRAC * width
+    w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
+    _check_velocity_terms(cfg, [("w0", w_d, vmax), ("c0", c_d, width)])
     n = cfg.n_agents
     n_tracing = int(round(cfg.mr * n))
     n_seeking = n - n_tracing
@@ -428,9 +457,6 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     n_copies = per_agent - offset
     pos, vel, fit, best_pos = yield n, n_seeking * per_agent + n_tracing
 
-    lower, upper, width = bounds.lower, bounds.upper, bounds.width
-    vmax = V_FRAC * width
-    w_d, c_d = _adaptive_coefficients(cfg.w0, cfg.c0, dim)
     n_layers = len(pos)
     rows = np.arange(n_layers)
 
@@ -440,8 +466,9 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     # holds the value of every point.  ``codes`` holds the flat index into
     # ``fitness`` (and the points) of each of a seeking agent's per_agent
     # candidates, the kept position first when spc is on.
-    tabled = cfg.cdc == dim and 2 ** dim < n_copies
-    moved = 2 ** dim if tabled else n_copies
+    k = 2 if cfg.cdc == dim else 3  # options per coordinate: x - s, x + s, x
+    tabled = k ** dim < n_copies
+    moved = k ** dim if tabled else n_copies
     kept = n_seeking * offset
     scored = kept + n_seeking * moved
     points = np.empty((n_layers, scored + n_tracing, dim))
@@ -453,14 +480,16 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
     codes[:, :, :offset] = layer_first + np.arange(n_seeking)[:, None]
     copy_codes = codes[:, :, offset:]
     copy_first = layer_first + kept + np.arange(n_seeking)[:, None] * moved
+    options = np.empty((n_layers, n_seeking, k, dim))
     if tabled:
-        options = np.empty((n_layers, n_seeking, 2, dim))  # minus, plus
-        take = (_seeking_options(dim) * dim + np.arange(dim)).ravel()
+        take = (_seeking_options(dim, k) * dim + np.arange(dim)).ravel()
+        place = k ** np.arange(dim)  # a copy's table entry is sum(option_d x k**d)
     else:
         copy_codes[...] = copy_first + np.arange(moved)
     copy_shape = (n_layers, n_seeking, n_copies, dim)
     ties = np.empty(codes.shape)
-    kick = cfg.srd * width * ZERO_KICK
+    with np.errstate(over="ignore"):
+        kick = cfg.srd * width * ZERO_KICK
     agents = np.arange(n_layers * n_seeking)
 
     while True:
@@ -468,43 +497,46 @@ def _adcso_moves(batch_obj, bounds: Bounds, cfg: SwarmConfig, rng):
         tracers = rows[:, None], order[:, :n_tracing]
         seekers = rows[:, None], order[:, n_tracing:]
 
-        if n_seeking:
-            spos = pos[seekers]
-            mask = _mutation_mask(rng, copy_shape, cfg.cdc, dim) if cfg.cdc < dim else None
-            plus = rng.random(copy_shape) >= 0.5  # each copy's coins; the draws are not kept
-            step = np.abs(spos)
-            small = step < ZERO_GUARD * width
-            step *= cfg.srd
-            np.copyto(step, kick, where=small)
-            if tabled:
+        # A step or move past the float range clips to the box edge.
+        with np.errstate(over="ignore"):
+            if n_seeking:
+                spos = pos[seekers]
+                mask = _mutation_mask(rng, copy_shape, cfg.cdc, dim) if k == 3 else None
+                choice = rng.random(copy_shape) >= 0.5  # each copy's coins
+                if mask is not None:  # option 2: x, unmoved
+                    choice = choice.view(np.uint8)
+                    np.copyto(choice, 2, where=~mask)
+                    options[:, :, 2] = spos
+                step = np.abs(spos)
+                small = step < ZERO_GUARD * width
+                step *= cfg.srd
+                np.copyto(step, kick, where=small)
                 np.subtract(spos, step, out=options[:, :, 0])
                 np.add(spos, step, out=options[:, :, 1])
                 np.clip(options, lower, upper, out=options)
-                np.take(options.reshape(n_layers, n_seeking, 2 * dim), take, axis=2,
-                        out=table.reshape(n_layers, n_seeking, moved * dim))
-                np.add(copy_first, plus[..., 0], out=copy_codes)
-                for d in range(1, dim):
-                    copy_codes += plus[..., d] << d
-            else:
-                np.multiply(step[:, :, None, :], np.where(plus, 1.0, -1.0), out=table)
-                if mask is not None:
-                    table *= mask
-                table += spos[:, :, None, :]
-                np.clip(table, lower, upper, out=table)
-            rng.random(out=ties)
-            if kept:
-                points[:, :kept] = spos
-                fitness[:, :kept] = fit[seekers]
+                if tabled:
+                    np.take(options.reshape(n_layers, n_seeking, k * dim), take, axis=2,
+                            out=table.reshape(n_layers, n_seeking, moved * dim))
+                    np.add(copy_first, choice[..., 0], out=copy_codes)
+                    for d in range(1, dim):
+                        copy_codes += choice[..., d] * place[d]
+                else:
+                    for option in range(k):
+                        np.copyto(table, options[:, :, option, None], where=choice == option)
+                rng.random(out=ties)
+                if kept:
+                    points[:, :kept] = spos
+                    fitness[:, :kept] = fit[seekers]
 
-        if n_tracing:
-            tpos = pos[tracers]
-            tvel = vel[tracers]
-            draw = rng.random((n_layers, n_tracing, dim))
-            tvel = w_d * tvel + draw * c_d * (best_pos[:, None, :] - tpos)
-            np.clip(tvel, -vmax, vmax, out=tvel)
-            np.add(tpos, tvel, out=tracing)
-            np.clip(tracing, lower, upper, out=tracing)
-            vel[tracers] = tvel
+            if n_tracing:
+                tpos = pos[tracers]
+                tvel = vel[tracers]
+                draw = rng.random((n_layers, n_tracing, dim))
+                tvel = w_d * tvel + draw * c_d * (best_pos[:, None, :] - tpos)
+                np.clip(tvel, -vmax, vmax, out=tvel)
+                np.add(tpos, tvel, out=tracing)
+                np.clip(tracing, lower, upper, out=tracing)
+                vel[tracers] = tvel
 
         if points.shape[1] > kept:
             fitness[:, kept:] = batch_obj(points[:, kept:])
@@ -528,17 +560,20 @@ def _pso_moves(batch_obj, bounds: Bounds, cfg: PsoConfig, rng):
     best is the best of those.
     """
     n = cfg.n_particles
-    pos, vel, fit, best_pos = yield n, n
     vmax = V_FRAC * bounds.width
+    _check_velocity_terms(cfg, [("w", cfg.w, vmax), ("c1", cfg.c1, bounds.width),
+                                ("c2", cfg.c2, bounds.width)])
+    pos, vel, fit, best_pos = yield n, n
     pbest = pos.copy()
     pbest_fit = fit.copy()
     while True:
         r1 = rng.random(pos.shape)
         r2 = rng.random(pos.shape)
-        np.clip(cfg.w * vel
-                + cfg.c1 * r1 * (pbest - pos)
-                + cfg.c2 * r2 * (best_pos[:, None, :] - pos), -vmax, vmax, out=vel)
-        pos += vel
+        with np.errstate(over="ignore"):  # a move past the float range clips
+            np.clip(cfg.w * vel
+                    + cfg.c1 * r1 * (pbest - pos)
+                    + cfg.c2 * r2 * (best_pos[:, None, :] - pos), -vmax, vmax, out=vel)
+            pos += vel
         np.clip(pos, bounds.lower, bounds.upper, out=pos)
         fit[...] = batch_obj(pos)
         improved = fit < pbest_fit

@@ -102,6 +102,14 @@ def test_load_csv_non_monotone_labels(write_csv):
         load_csv(write_csv("mono.csv", ["2011,1.0", "2011,2.0"]))
 
 
+@pytest.mark.parametrize("label", ["100000000000000000000", "9223372036854775808",
+                                   "-9223372036854775809"])
+def test_load_csv_label_outside_int64_names_line(write_csv, label):
+    path = write_csv("big.csv", ["2011,1.0", f"{label},2.0"])
+    with pytest.raises(DataError, match=f"line 3: label '{label}' lies outside the int64"):
+        load_csv(path)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_csv(tmp_path / "nope.csv")
@@ -569,6 +577,57 @@ def test_cli_series_out_of_float_range_is_a_data_error(capsys, write_csv, rows, 
     code, out, err = run_cli(capsys, *argv, "--csv", path)
     assert code == 2
     assert err == f"data error: {message}\n"
+    assert out == ""
+
+
+LABELS_AT_INT64_MAX = [f"{9223372036854775804 + i},{i + 1}" for i in range(4)]
+
+
+@pytest.mark.parametrize("rows,message", [
+    (LABELS_AT_INT64_MAX, "the label 2 periods after 9223372036854775807 is"
+                          " 9223372036854775809, outside the int64 range"),
+    ([f"{10**20 + i},{i + 1}" for i in range(4)],
+     "labels.csv: line 2: label '100000000000000000000' lies outside the int64 range"),
+    ([f"{9223372036854775806 + i},{i + 1}" for i in range(4)],
+     "labels.csv: line 4: label '9223372036854775808' lies outside the int64 range"),
+], ids=["forecast-past-int64", "labels-1e20", "labels-past-int64"])
+def test_cli_forecast_labels_outside_int64_are_a_data_error(capsys, monkeypatch, write_csv,
+                                                            rows, message):
+    _forbid_search(monkeypatch)
+    path = write_csv("labels.csv", rows)
+    code, out, err = run_cli(capsys, "forecast", "--csv", path, "--horizon", "2",
+                             "--step", "0.5")
+    assert code == 2
+    assert err.startswith("data error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1 and out == ""
+
+
+def test_cli_seeking_step_past_float_range_is_one_data_error(capsys, write_csv, tmp_path):
+    # SRD x |b| overflows, on a box that fits the float range; no warning is printed.
+    path = write_csv("huge.csv", ["1,1e307", "2,2e307", "3,3e307", "4,4e307"])
+    cfg = tmp_path / "srd.cfg"
+    cfg.write_text("SRD = 5\nN = 5\nM = 5\nIter_max = 3\nCDC = 1\n")
+    code, out, err = run_cli(capsys, "fit", "--csv", path, "--r", "0.5",
+                             "--estimator", "adcso", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("estimator,settings,key", [
+    ("adcso", "c = 1e308\nw = 1e308\nIter_max = 5\n", "c0 = 1e+308"),
+    ("pso", "c1 = 1e308\nw = 1e308\nIter_max = 5\n", "c1 = 1e+308"),
+], ids=["adcso", "pso"])
+def test_cli_velocity_that_can_be_nan_is_a_usage_error(capsys, write_csv, tmp_path,
+                                                        estimator, settings, key):
+    path = write_csv("small.csv", ["1,1", "2,3", "3,9", "4,27"])
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(settings)
+    code, out, err = run_cli(capsys, "fit", "--csv", path, "--r", "0.5",
+                             "--estimator", estimator, "--config", str(cfg))
+    assert code == 1
+    assert err == (f"usage error: {key} is too large for this search box:"
+                   " its velocity term can overflow\n")
     assert out == ""
 
 

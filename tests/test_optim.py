@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -303,7 +305,9 @@ class TestMinimizers:
     @pytest.mark.parametrize("dim,cdc,spc,smp,scored", [
         (2, 2, True, 30, 5),     # kept position + 2**2 sign combinations
         (2, 2, False, 30, 4),
-        (2, 1, True, 30, 30),    # cdc < dim: score the copies
+        (2, 1, True, 30, 10),    # cdc < dim: kept position + 3**2 option combinations
+        (3, 1, True, 30, 28),
+        (2, 1, False, 30, 9),
         (3, 3, True, 30, 9),
         (2, 2, True, 5, 5),      # the table is not smaller: score the copies
         (6, 2, True, 30, 30),
@@ -348,6 +352,36 @@ class TestMinimizers:
         with pytest.raises(ValueError, match="cdc = 3 exceeds"):
             adcso_minimize(unreachable, SPHERE_BOUNDS, SwarmConfig(cdc=3))
 
+    @pytest.mark.parametrize("cdc", [2, 1])
+    def test_seeking_step_past_float_range_clips_to_the_box(self, cdc):
+        # SRD x |x| and SRD x width overflow; a RuntimeWarning fails the test.
+        box = Bounds([-1e308] * 2, [7e307] * 2)
+        cfg = SwarmConfig(srd=5, cdc=cdc, n_agents=5, smp=5, iter_max=3)
+        trace = adcso_minimize(lambda p: np.abs(p).max(axis=1), box, cfg)
+        assert np.isfinite(trace.best_fitness)
+        assert np.all((box.lower <= trace.best_position) & (trace.best_position <= box.upper))
+
+    @pytest.mark.parametrize("minimize,cfg", [
+        (adcso_minimize, SwarmConfig(cdc=1, n_agents=10, smp=5, iter_max=20)),
+        (pso_minimize, PsoConfig(c1=0.5, c2=0.5, n_particles=10, iter_max=20)),
+    ], ids=["adcso", "pso"])
+    def test_move_past_float_range_clips_to_the_box(self, minimize, cfg):
+        # Positions plus velocities pass the float maximum near the upper edge.
+        box = Bounds([0.0], [1.7e308])
+        trace = minimize(lambda p: -p[:, 0], box, cfg)
+        assert trace.best_position[0] == box.upper[0]
+
+    @pytest.mark.parametrize("minimize,cfg,setting", [
+        (adcso_minimize, SwarmConfig(c0=1e308, w0=1e308), "c0 = 1e+308"),
+        (pso_minimize, PsoConfig(c1=1e308, w=1e308), "c1 = 1e+308"),
+    ], ids=["adcso", "pso"])
+    def test_velocity_that_can_be_nan_rejected_before_any_draw(self, minimize, cfg, setting):
+        def unreachable(points):
+            raise AssertionError("evaluated before the config was checked")
+
+        with pytest.raises(ValueError, match=re.escape(f"{setting} is too large for this")):
+            minimize(unreachable, SPHERE_BOUNDS, cfg)
+
     def test_beats_random_search_with_same_budget(self):
         runs = [
             adcso_minimize(sphere, SPHERE_BOUNDS,
@@ -378,15 +412,16 @@ class TestEngineMatchesSingleAgentSteps:
         self._check_seeking(wuhan, seed=11)
 
     @pytest.mark.parametrize("seed", [12, 13, 14])
-    @pytest.mark.parametrize("overrides", [{}, dict(spc=False), dict(cdc=1)],
-                             ids=["default", "no-spc", "cdc1"])
+    @pytest.mark.parametrize("overrides", [{}, dict(spc=False), dict(cdc=1),
+                                           dict(cdc=1, smp=30)],
+                             ids=["default", "no-spc", "cdc1", "cdc1-smp30"])
     def test_seeking_over_seeds(self, wuhan, seed, overrides):
         self._check_seeking(wuhan, seed, **overrides)
 
-    def _check_seeking(self, wuhan, seed, **overrides):
+    def _check_seeking(self, wuhan, seed, smp=6, **overrides):
         fitness = objective(wuhan, 0.5)
         bounds = default_bounds(wuhan)
-        cfg = SwarmConfig(n_agents=1, smp=6, iter_max=1, mr=0.2, seed=seed, **overrides)
+        cfg = SwarmConfig(n_agents=1, smp=smp, iter_max=1, mr=0.2, seed=seed, **overrides)
         run = adcso_minimize(fitness, bounds, cfg)
 
         rng = np.random.default_rng(seed)
